@@ -5,7 +5,8 @@ Library layout: :mod:`empirical` (data model and ingestion), :mod:`basic`
 and the earthmover distance), :mod:`decision` (decision-loss measures),
 :mod:`distance` (distance-to-calibration oracles and interval CE),
 :mod:`online` (sequential episodes), :mod:`fixtures` (worked examples with
-known values), :mod:`cli` (the ``calmeasure`` command).
+known values), :mod:`measures` (the measure-id registry), :mod:`cli` (the
+``calmeasure`` command).
 """
 
 from .basic import (

@@ -8,7 +8,7 @@ computed explicitly in :func:`tv_characterization` as an independent route.
 
 from __future__ import annotations
 
-from .empirical import EmpiricalJoint, recalibrate
+from .empirical import EmpiricalJoint
 
 
 def ece(joint: EmpiricalJoint) -> float:
@@ -97,5 +97,4 @@ __all__ = [
     "bucket_midpoint",
     "surrogate_masses",
     "sign_witness_ce",
-    "recalibrate",
 ]

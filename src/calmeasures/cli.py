@@ -6,8 +6,9 @@ oracles for a finite instance), online (sequential episodes), fixture
 curves).  All outputs are deterministic given --seed; floats are printed
 with 17 significant digits so regression diffs are exact.
 
-Exit codes: 0 ok, 2 malformed input, 3 unknown measure, 4 oracle size cap
-exceeded.
+Exit codes: 0 ok, 1 relation chain violated (report --verify-relations),
+2 malformed input or argument, 3 unknown or inapplicable measure, 4 oracle
+size cap exceeded.
 """
 
 from __future__ import annotations
@@ -17,12 +18,11 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .basic import binned_ece, ece, ece_q, tv_characterization
-from .decision import DecisionTask, cdl, cfdl
+from .basic import ece
 from .distance import (
     DEFAULT_ORACLE_CAP,
     OracleSizeError,
@@ -37,11 +37,11 @@ from .empirical import (
     read_csv,
     read_instance_json,
     read_jsonl,
-    recalibrate,
     write_instance_json,
 )
 from .fixtures import FIXTURES, Fixture, verify
-from .lipschitz import emd_joints, kernel_ce, low_degree_ce, smce
+from .lipschitz import smce
+from .measures import MEASURES, MeasureError, resolve
 from .online import (
     BernoulliAdversary,
     ConstantAdversary,
@@ -64,15 +64,6 @@ class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
-
-
-@dataclass
-class MetricReport:
-    measures: dict[str, float]
-    meta: dict = field(default_factory=dict)
-
-    def to_json_obj(self) -> dict:
-        return {"schema": 1, "measures": self.measures, "meta": self.meta}
 
 
 # ---------------------------------------------------------------------------
@@ -137,58 +128,21 @@ def input_digest(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# measure dispatch
+# measure errors
 
 
-def compute_measure(
-    spec: str,
-    joint: EmpiricalJoint,
-    instance: FiniteInstance | None,
-    cfg: dict,
-) -> float:
-    name, _, arg = spec.partition(":")
+@contextmanager
+def measure_errors(spec: str):
+    """Map the failure of resolving or computing a measure to its exit
+    code: unknown or inapplicable id 3, oracle cap 4, malformed argument 2."""
     try:
-        if name == "ece" and not arg:
-            return ece(joint)
-        if name == "ece2" and not arg:
-            return ece_q(joint, 2.0)
-        if name == "ece_q":
-            return ece_q(joint, float(arg))
-        if name == "tv" and not arg:
-            return tv_characterization(joint)
-        if name == "binned":
-            return binned_ece(joint, int(arg))
-        if name == "smce" and not arg:
-            return smce(joint)
-        if name == "lowdeg":
-            return low_degree_ce(joint, int(arg))
-        if name == "kernel":
-            return kernel_ce(joint, arg or cfg["kernel"])
-        if name == "emd" and not arg:
-            return emd_joints(joint)
-        if name == "cdl" and not arg:
-            return cdl(joint)
-        if name == "cfdl":
-            task = DecisionTask.from_json(arg)
-            return cfdl(joint, task)
-        if name == "intce" and not arg:
-            return intce_opt(joint, cfg["grid"])
-        if name == "dce_upper" and not arg:
-            return dce_upper_oracle(joint, cfg["oracle_cap"])
-        if name == "dce" and not arg:
-            if instance is None:
-                raise CliError(
-                    "measure 'dce' needs a FiniteInstance JSON input",
-                    EXIT_BAD_MEASURE,
-                )
-            return dce_oracle(instance, cfg["oracle_cap"])
+        yield
     except OracleSizeError as exc:
         raise CliError(str(exc), EXIT_ORACLE_CAP)
-    except CliError:
-        raise
+    except MeasureError as exc:
+        raise CliError(str(exc), EXIT_BAD_MEASURE)
     except (OSError, ValueError) as exc:
         raise CliError(f"measure {spec!r}: {exc}", EXIT_BAD_INPUT)
-    raise CliError(f"unknown measure {spec!r}", EXIT_BAD_MEASURE)
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +151,11 @@ def compute_measure(
 
 def cmd_report(args) -> None:
     joint, instance = load_joint(args.input)
-    cfg = {
-        "grid": args.grid,
-        "oracle_cap": args.oracle_cap,
-        "kernel": args.kernel,
-    }
     measures = {}
-    for spec in args.measures.split(","):
-        spec = spec.strip()
-        if spec:
-            measures[spec] = compute_measure(spec, joint, instance, cfg)
+    for spec in [m.strip() for m in args.measures.split(",") if m.strip()]:
+        with measure_errors(spec):
+            f = resolve(spec, args.grid, args.oracle_cap, args.kernel)
+            measures[spec] = f(joint, instance)
     meta = {
         "version": __version__,
         "input": args.input,
@@ -217,12 +166,13 @@ def cmd_report(args) -> None:
         "seed": args.seed,
         "tolerance": 1e-9,
     }
-    report = MetricReport(measures, meta)
-    obj = report.to_json_obj()
+    obj = {"schema": 1, "measures": measures, "meta": meta}
     if args.verify_relations:
-        e1 = measures.get("ece", ece(joint))
-        e2 = measures.get("ece2", ece_q(joint, 2.0))
-        c = measures.get("cdl", cdl(joint))
+        # reuse the values already reported; compute only the missing ones
+        e1, e2, c = (
+            measures[m] if m in measures else resolve(m)(joint)
+            for m in ("ece", "ece2", "cdl")
+        )
         checks = {
             "ece_sq_le_ece2_sq": e1**2 <= e2**2 + 1e-9,
             "ece2_sq_le_cdl": e2**2 <= c + 1e-9,
@@ -241,11 +191,9 @@ def cmd_oracle(args) -> None:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         raise CliError(f"malformed input {args.input}: {exc}", EXIT_BAD_INPUT)
     joint = project(instance)
-    try:
+    with measure_errors("dce"):
         dce = dce_oracle(instance, args.cap)
         upper = dce_upper_oracle(joint, args.cap)
-    except OracleSizeError as exc:
-        raise CliError(str(exc), EXIT_ORACLE_CAP)
     s = smce(joint)
     intce = intce_opt(joint, args.grid)
     tol = 1e-9
@@ -315,16 +263,11 @@ def cmd_online(args) -> None:
         raise CliError(str(exc), EXIT_BAD_INPUT)
     measures = {}
     curves = {}
-    for m in args.measures.split(","):
-        m = m.strip()
-        if not m:
-            continue
-        try:
+    for m in [s.strip() for s in args.measures.split(",") if s.strip()]:
+        with measure_errors(m):
             measures[m] = sequence_measure(transcript, m)
             if args.curves:
                 curves[m] = prefix_curve(transcript, m)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_BAD_MEASURE)
     obj = {
         "schema": 1,
         "rounds": [[p, y] for p, y in transcript.rounds],
@@ -408,10 +351,10 @@ def cmd_plotdata(args) -> None:
                 f"malformed transcript {args.input}: {exc}", EXIT_BAD_INPUT
             )
         measures = [m.strip() for m in args.measures.split(",") if m.strip()]
-        try:
-            curves = {m: prefix_curve(transcript, m) for m in measures}
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_BAD_MEASURE)
+        curves = {}
+        for m in measures:
+            with measure_errors(m):
+                curves[m] = prefix_curve(transcript, m)
         lines.append("t,p,y," + ",".join(f"prefix_{m}" for m in measures))
         for t, (p, y) in enumerate(transcript.rounds, start=1):
             vals = ",".join(f"{curves[m][t - 1]:.17g}" for m in measures)
@@ -431,6 +374,9 @@ def default_seed() -> int:
     return int(os.environ.get("CALIB_SEED", "0"))
 
 
+MEASURES_HELP = "comma list of <id>[:<arg>], ids: " + ", ".join(MEASURES)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="calmeasure",
@@ -440,13 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="measure values for a dataset")
     p.add_argument("input", help="CSV, JSONL, or FiniteInstance JSON")
-    p.add_argument(
-        "--measures",
-        default="ece,ece2,smce,cdl",
-        help="comma list: ece,ece2,ece_q:<q>,tv,binned:<b>,smce,lowdeg:<d>,"
-        "kernel:laplace,kernel:gaussian,emd,cdl,cfdl:<task.json>,intce,"
-        "dce,dce_upper",
-    )
+    p.add_argument("--measures", default="ece,ece2,smce,cdl",
+                   help=MEASURES_HELP)
     p.add_argument("--grid", type=int, default=1000)
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.add_argument("--kernel", default="laplace")
@@ -467,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adversary", required=True)
     p.add_argument("-T", "--rounds", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--measures", default="ece")
+    p.add_argument("--measures", default="ece", help=MEASURES_HELP)
     p.add_argument(
         "--no-curves", dest="curves", action="store_false",
         help="skip per-round prefix curves",
@@ -487,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("reliability", "transcript"),
                    default="reliability")
     p.add_argument("input")
-    p.add_argument("--measures", default="ece")
+    p.add_argument("--measures", default="ece", help=MEASURES_HELP)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_plotdata)
 

@@ -49,10 +49,13 @@ class DecisionTask:
     def from_json(path: str | Path) -> "DecisionTask":
         with open(path) as fh:
             data = json.load(fh)
-        return DecisionTask(
-            tuple(str(a) for a in data["actions"]),
-            tuple((float(r[0]), float(r[1])) for r in data["payoff"]),
-        )
+        try:
+            return DecisionTask(
+                tuple(str(a) for a in data["actions"]),
+                tuple((float(r[0]), float(r[1])) for r in data["payoff"]),
+            )
+        except (KeyError, IndexError, TypeError) as exc:
+            raise ValueError(f"malformed task file {path}: {exc!r}") from exc
 
 
 def threshold_task(vstar: float) -> DecisionTask:

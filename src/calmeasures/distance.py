@@ -20,7 +20,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .basic import ece
 from .empirical import EmpiricalJoint, FiniteInstance, project
 from .lipschitz import residuals
 
@@ -288,5 +287,4 @@ __all__ = [
     "dce_oracle",
     "dce_upper_oracle",
     "dce_from_instance",
-    "ece",
 ]

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .basic import ece, ece_q
-from .decision import cdl, cfdl, threshold_task
-from .distance import dce_oracle
+from .decision import cfdl, threshold_task
 from .empirical import FiniteInstance, project
-from .lipschitz import smce
+from .measures import resolve
 
 
 @dataclass(frozen=True)
@@ -26,20 +24,12 @@ class Fixture:
     bounds: dict[str, tuple[float, float, str]] = field(default_factory=dict)
 
 
-_EVALUATORS = {
-    "ece": lambda inst: ece(project(inst)),
-    "ece2": lambda inst: ece_q(project(inst), 2.0),
-    "smce": lambda inst: smce(project(inst)),
-    "cdl": lambda inst: cdl(project(inst)),
-    "dce": dce_oracle,
-    "cfdl_threshold_half": lambda inst: cfdl(
-        project(inst), threshold_task(0.5)
-    ),
-}
-
-
 def evaluate(fixture: Fixture, measure: str) -> float:
-    return _EVALUATORS[measure](fixture.instance)
+    joint = project(fixture.instance)
+    # a fixture-only key: cfdl against the fixed threshold-1/2 task
+    if measure == "cfdl_threshold_half":
+        return cfdl(joint, threshold_task(0.5))
+    return resolve(measure)(joint, fixture.instance)
 
 
 def verify(fixture: Fixture) -> dict[str, tuple[float, bool]]:

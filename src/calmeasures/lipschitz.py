@@ -92,17 +92,18 @@ class _ConcavePL:
         return float(self.ys.max())
 
     def window_max(self, d: float) -> "_ConcavePL":
-        """New function w -> max over u in [w-d, w+d] (clipped to [-1,1])."""
+        """New function w -> max over u in [w-d, w+d] (clipped to [-1,1]).
+
+        By concavity only breakpoints up to the argmax shift by -d and
+        only those from it on by +d."""
         if d <= 0.0:
             return _ConcavePL(self.xs.copy(), self.ys.copy())
-        ustar = float(self.xs[int(np.argmax(self.ys))])
+        i = int(np.argmax(self.ys))
+        ustar = float(self.xs[i])
         ymax = self.max_value()
+        left, right = self.xs[: i + 1] - d, self.xs[i:] + d
         bps = np.unique(
-            np.clip(
-                np.concatenate([self.xs - d, self.xs + d, [-1.0, 1.0]]),
-                -1.0,
-                1.0,
-            )
+            np.clip(np.concatenate([left, right, [-1.0, 1.0]]), -1.0, 1.0)
         )
         lo = np.clip(bps - d, -1.0, 1.0)
         hi = np.clip(bps + d, -1.0, 1.0)
@@ -200,6 +201,8 @@ def kernel_ce(
 ) -> float:
     """RKHS-unit-ball maximum of E[w(v)(y - v)]: sqrt of the Gram quadratic
     form of the residual signed measure."""
+    if isinstance(kernel, str) and kernel not in _KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}")
     kfun = _KERNELS[kernel] if isinstance(kernel, str) else kernel
     vs = np.array([v for v, _, _ in joint.atoms])
     rs = np.array([m * (y - v) for v, y, m in joint.atoms])

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basic import binned_ece, ece, ece_q
-from .decision import cdl
 from .empirical import EmpiricalJoint, from_samples
-from .lipschitz import smce
+from .measures import resolve
 
 
 @dataclass(frozen=True)
@@ -193,24 +191,16 @@ def run(
 
 def sequence_measure(transcript: Transcript, measure: str) -> float:
     """T times the chosen measure on the uniform joint of the transcript."""
-    joint = transcript.joint()
-    T = len(transcript)
-    if measure == "ece":
-        return T * ece(joint)
-    if measure == "ece2":
-        return T * ece_q(joint, 2.0)
-    if measure == "smce":
-        return T * smce(joint)
-    if measure == "cdl":
-        return T * cdl(joint)
-    if measure.startswith("binned:"):
-        return T * binned_ece(joint, int(measure.split(":", 1)[1]))
-    raise ValueError(f"unknown measure id {measure!r}")
+    return len(transcript) * resolve(measure)(transcript.joint())
 
 
 def prefix_curve(transcript: Transcript, measure: str) -> list[float]:
     """Sequence measure of every prefix, for regret plots."""
-    out = []
-    for t in range(1, len(transcript) + 1):
-        out.append(sequence_measure(Transcript(transcript.rounds[:t]), measure))
-    return out
+    f = resolve(measure)
+    rounds = transcript.rounds
+    # longest prefix first, so a size cap fails before the shorter ones run
+    curve = [
+        t * f(from_samples(list(rounds[:t])))
+        for t in range(len(rounds), 0, -1)
+    ]
+    return curve[::-1]
