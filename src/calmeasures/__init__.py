@@ -65,6 +65,7 @@ from .fixtures import FIXTURES, Fixture, evaluate, verify
 from .lipschitz import (
     WeightFunction,
     emd_joints,
+    emd_lp_oracle,
     gaussian_kernel,
     kernel_ce,
     laplace_kernel,

@@ -194,8 +194,9 @@ def cmd_oracle(args) -> None:
     with measure_errors("dce"):
         dce = dce_oracle(instance, args.cap)
         upper = dce_upper_oracle(joint, args.cap)
-    s = smce(joint)
-    intce = intce_opt(joint, args.grid)
+    with measure_errors("intce"):
+        s = smce(joint)
+        intce = intce_opt(joint, args.grid)
     tol = 1e-9
     obj = {
         "schema": 1,

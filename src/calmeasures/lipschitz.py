@@ -11,8 +11,9 @@ problem is a chain LP
 with c_j the residual mass at value v_j.  We solve it by concave
 piecewise-linear dynamic programming (a sliding-window max per step), which
 is exact up to float rounding and independent of any LP solver tolerance.
-A generic-LP formulation (:func:`smce_lp_oracle`) serves as the
-cross-check.
+The earthmover distance to the Bernoulli surrogate (:func:`emd_joints`) is
+the same chain LP with the gaps doubled.  Generic LPs
+(:func:`smce_lp_oracle`, :func:`emd_lp_oracle`) serve as cross-checks.
 """
 
 from __future__ import annotations
@@ -113,16 +114,30 @@ class _ConcavePL:
         return _ConcavePL(bps, ys)
 
 
-def smce(joint: EmpiricalJoint) -> float:
-    """Smooth calibration error: exact chain-LP optimum via concave DP."""
-    vals, cs = residuals(joint)
+def _chain_dp(vals: np.ndarray, cs: np.ndarray, lipschitz: int) -> float:
+    """max sum_j c_j w_j over w_j in [-1, 1] with
+    |w_{j+1} - w_j| <= lipschitz * (v_{j+1} - v_j), via concave DP."""
     value = _ConcavePL.linear(float(cs[0]))
     for j in range(1, len(vals)):
-        value = value.window_max(float(vals[j] - vals[j - 1]))
+        value = value.window_max(lipschitz * float(vals[j] - vals[j - 1]))
         value.add_linear(float(cs[j]))
     # -w is feasible whenever w is, so the optimum already dominates the
     # absolute value; it is also >= 0 because w = 0 is feasible.
     return max(value.max_value(), 0.0)
+
+
+def smce(joint: EmpiricalJoint) -> float:
+    """Smooth calibration error: exact chain-LP optimum via concave DP."""
+    return _chain_dp(*residuals(joint), lipschitz=1)
+
+
+def emd_joints(joint: EmpiricalJoint) -> float:
+    """Exact optimal-transport cost between the joint and its Bernoulli
+    surrogate under |v - v'| + |y - y'|.  By Kantorovich duality it is the
+    max of sum_v c_v (f(v, 1) - f(v, 0)) over 1-Lipschitz f, and the
+    differences w = f(., 1) - f(., 0) are exactly the 2-Lipschitz
+    w: [0,1] -> [-1,1] (take f(v, y) = (y - 1/2) w(v))."""
+    return _chain_dp(*residuals(joint), lipschitz=2)
 
 
 def smce_lp_oracle(joint: EmpiricalJoint, grid: int = 100) -> float:
@@ -163,6 +178,30 @@ def smce_lp_oracle(joint: EmpiricalJoint, grid: int = 100) -> float:
     if not res.success:
         raise RuntimeError(f"smce oracle LP failed: {res.message}")
     return max(-res.fun, 0.0)
+
+
+def emd_lp_oracle(joint: EmpiricalJoint) -> float:
+    """Dense transport-LP cross-check for emd_joints: the optimal-transport
+    cost between the joint and its surrogate under |v - v'| + |y - y'|,
+    with one variable per (source, target) pair."""
+    from .basic import surrogate_masses
+
+    pairs = surrogate_masses(joint)
+    pts = np.array(list(pairs), dtype=float)
+    src, dst = np.array(list(pairs.values())).T
+    s, t = src > 0.0, dst > 0.0
+    cost = np.abs(pts[s][:, None, :] - pts[t][None, :, :]).sum(axis=2)
+    ns, nt = cost.shape
+    # row sums are the source masses, column sums the target masses; the
+    # last column constraint is redundant
+    a_eq = np.vstack([np.kron(np.eye(ns), np.ones(nt)),
+                      np.kron(np.ones(ns), np.eye(nt))[:-1]])
+    b_eq = np.concatenate([src[s], dst[t][:-1]])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None),
+                  method="highs")
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return float(res.fun)
 
 
 # ---------------------------------------------------------------------------
@@ -215,44 +254,3 @@ def kernel_ce(
     quad = float(rs @ gram @ rs)
     return math.sqrt(max(quad, 0.0))
 
-
-# ---------------------------------------------------------------------------
-# earthmover distance between the joint and its Bernoulli surrogate
-
-
-def emd_joints(joint: EmpiricalJoint) -> float:
-    """Exact optimal-transport cost between the joint and its surrogate
-    under the metric |v - v'| + |y - y'|, solved as a transport LP."""
-    from .basic import surrogate_masses
-
-    pairs = surrogate_masses(joint)
-    src = [(pt, m) for pt, (m, _) in pairs.items() if m > 0.0]
-    dst = [(pt, m) for pt, (_, m) in pairs.items() if m > 0.0]
-    ns, nt = len(src), len(dst)
-    cost = np.empty((ns, nt))
-    for i, ((v1, y1), _) in enumerate(src):
-        for j, ((v2, y2), _) in enumerate(dst):
-            cost[i, j] = abs(v1 - v2) + abs(y1 - y2)
-
-    a_eq = []
-    b_eq = []
-    for i in range(ns):
-        row = np.zeros((ns, nt))
-        row[i, :] = 1.0
-        a_eq.append(row.ravel())
-        b_eq.append(src[i][1])
-    for j in range(nt - 1):  # last column constraint is redundant
-        row = np.zeros((ns, nt))
-        row[:, j] = 1.0
-        a_eq.append(row.ravel())
-        b_eq.append(dst[j][1])
-    res = linprog(
-        cost.ravel(),
-        A_eq=np.array(a_eq),
-        b_eq=np.array(b_eq),
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)

@@ -1,0 +1,164 @@
+"""The exact solvers behind the distance measures: the subset DP of the
+partition oracles against a brute-force enumeration, and the chain DP of
+emd_joints against the dense transport LP."""
+
+import json
+import time
+
+import numpy as np
+import pytest
+
+from calmeasures import (
+    EmpiricalJoint,
+    FiniteInstance,
+    OracleSizeError,
+    dce_oracle,
+    dce_upper_oracle,
+    emd_joints,
+    emd_lp_oracle,
+    from_samples,
+    project,
+    restricted_growth_strings,
+    smce,
+    write_instance_json,
+)
+from calmeasures.cli import main
+
+from conftest import random_joint
+
+
+def enumerated_min_cost(mass, pred, cond):
+    """Min over every set partition of sum mass |pred - block mean of cond|,
+    one restricted growth string at a time."""
+    n = len(mass)
+    best = np.inf
+    for a in restricted_growth_strings(n):
+        bmass = [0.0] * n
+        bcond = [0.0] * n
+        for i, b in enumerate(a):
+            bmass[b] += mass[i]
+            bcond[b] += mass[i] * cond[i]
+        cost = sum(
+            mass[i] * abs(pred[i] - bcond[b] / bmass[b])
+            for i, b in enumerate(a)
+        )
+        best = min(best, cost)
+    return best
+
+
+def instance_cases():
+    """Seeded instances with n = 1..8 points, some with tied predictions
+    and some with calibrated points (cond_mean equal to pred)."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n in range(1, 9):
+        for variant in ("plain", "ties", "calibrated"):
+            mass = rng.uniform(0.05, 1.0, n)
+            pred = rng.uniform(0.0, 1.0, n)
+            cond = rng.uniform(0.0, 1.0, n)
+            if variant == "ties":
+                pred = rng.choice([0.2, 0.5, 0.9], n)
+            elif variant == "calibrated":
+                cond[: (n + 1) // 2] = pred[: (n + 1) // 2]
+            cases.append(pytest.param(mass, pred, cond, id=f"{variant}-{n}"))
+    return cases
+
+
+@pytest.mark.parametrize("mass,pred,cond", instance_cases())
+def test_subset_dp_matches_enumeration(mass, pred, cond):
+    inst = FiniteInstance.make(
+        (f"x{i}", m, p, c) for i, (m, p, c) in enumerate(zip(mass, pred, cond))
+    )
+    _, m, p, c = zip(*inst.points)
+    assert dce_oracle(inst) == pytest.approx(
+        enumerated_min_cost(m, p, c), abs=1e-12
+    )
+    levels = project(inst).level_sets()
+    vs = sorted(levels)
+    assert dce_upper_oracle(project(inst)) == pytest.approx(
+        enumerated_min_cost(
+            [levels[v][0] for v in vs], vs, [levels[v][1] for v in vs]
+        ),
+        abs=1e-12,
+    )
+
+
+@pytest.mark.parametrize("cap", [14, -1])
+def test_oracles_refuse_cap_outside_range(cap):
+    inst = FiniteInstance.make([("a", 0.5, 0.4, 0.5), ("b", 0.5, 0.6, 0.5)])
+    for oracle, arg in ((dce_oracle, inst), (dce_upper_oracle, project(inst))):
+        with pytest.raises(ValueError) as info:
+            oracle(arg, cap=cap)
+        assert not isinstance(info.value, OracleSizeError)
+
+
+def emd_cases():
+    rng = np.random.default_rng(77)
+    cases = [random_joint(rng, max_values=40) for _ in range(40)]
+    # a single prediction value, with one or both labels
+    cases.append(EmpiricalJoint.make([(0.3, 1, 1.0)]))
+    cases.append(EmpiricalJoint.make([(0.3, 1, 0.2), (0.3, 0, 0.8)]))
+    cases.append(EmpiricalJoint.make([(0.0, 1, 0.5), (0.0, 0, 0.5)]))
+    # predictions one float step apart stay distinct: d ~ 0 DP steps
+    for _ in range(6):
+        vs = rng.uniform(0.05, 0.95, int(rng.integers(1, 20)))
+        vs = np.concatenate([vs, np.nextafter(vs, 1.0)])
+        labels = rng.integers(0, 2, len(vs))
+        weights = rng.uniform(0.1, 1.0, len(vs))
+        cases.append(from_samples(list(zip(vs, labels)), list(weights)))
+    return cases
+
+
+@pytest.mark.parametrize("joint", emd_cases())
+def test_emd_chain_dp_matches_transport_lp(joint):
+    assert emd_joints(joint) == pytest.approx(emd_lp_oracle(joint), abs=1e-12)
+
+
+def test_emd_smce_sandwich_at_a_thousand_values():
+    rng = np.random.default_rng(5)
+    vs = rng.uniform(0.0, 1.0, 1000)
+    labels = (rng.uniform(0.0, 1.0, 1000) < vs**1.5).astype(int)
+    joint = from_samples(list(zip(vs, labels)))
+    d, s = emd_joints(joint), smce(joint)
+    assert d / 2.0 - 1e-12 <= s <= d + 1e-12
+
+
+def write_instance(path, points):
+    write_instance_json(FiniteInstance.make(points), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("grid", ["1", "0"])
+def test_oracle_bad_grid_exits_2(grid, tmp_path, capsys):
+    inst = write_instance(
+        tmp_path / "i.json", [("a", 0.5, 0.4, 0.5), ("b", 0.5, 0.6, 0.5)]
+    )
+    assert main(["oracle", inst, "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_report_refuses_dce_upper_cap_beyond_limit(tmp_path, capsys):
+    csv = tmp_path / "d.csv"
+    rows = "".join(f"{i / 13!r},{i % 2}\n" for i in range(14))
+    csv.write_text("prediction,label\n" + rows)
+    argv = ["report", str(csv), "--measures", "dce_upper",
+            "--oracle-cap", "20"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_transcript_dce_upper_curve_with_twelve_distinct_predictions(
+    tmp_path, capsys
+):
+    rounds = [[(i + 1) / 13, i % 2] for i in range(12)]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"rounds": rounds}))
+    start = time.perf_counter()
+    argv = ["plotdata", "--kind", "transcript", str(path),
+            "--measures", "dce_upper"]
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 10.0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 13
