@@ -5,11 +5,12 @@ Usage: python scripts/bucketing_sweep.py [--instances 50] [--seeds 100]
 Draws small finite instances, computes the exact distance to calibration
 delta by the partition oracle, then averages the interval calibration
 error of a randomly shifted width sqrt(2 delta) grid over seeds.  The
-mean should stay below 4 sqrt(delta).
+mean should stay below 4 sqrt(delta); the exit code is 1 if it does not.
 """
 
 import argparse
 import math
+import sys
 
 import numpy as np
 
@@ -57,7 +58,8 @@ def main():
         )
     verdict = "ok" if worst <= 1e-9 else "VIOLATED"
     print(f"worst mean excess over bound: {worst:+.3e}  {verdict}")
+    return 0 if worst <= 1e-9 else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -3,10 +3,12 @@
 Usage: python scripts/relation_sweep.py [--trials 1000] [--seed 0]
 
 For each joint prints nothing; at the end prints the worst (most negative)
-slack observed for each inequality.  All slacks should be >= -1e-9.
+slack observed for each inequality.  All slacks should be >= -1e-9; the
+exit code is 1 if one is not.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -56,7 +58,8 @@ def main():
     for name, slack in slacks.items():
         verdict = "ok" if slack >= -1e-9 else "VIOLATED"
         print(f"  {name:18s} min slack {slack:+.3e}  {verdict}")
+    return 0 if min(slacks.values()) >= -1e-9 else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,8 +1,9 @@
 """Calibration error measures for binary predictors.
 
-Library layout: :mod:`empirical` (data model and ingestion), :mod:`basic`
-(ECE family), :mod:`lipschitz` (weighted, smooth, low-degree, kernel CE
-and the earthmover distance), :mod:`decision` (decision-loss measures),
+Library layout: :mod:`empirical` (data model, the ``LevelSets`` columns
+every measure reads, ingestion), :mod:`basic` (ECE family),
+:mod:`lipschitz` (weighted, smooth, low-degree, kernel CE and the
+earthmover distance), :mod:`decision` (decision-loss measures),
 :mod:`distance` (distance-to-calibration oracles and interval CE),
 :mod:`online` (sequential episodes), :mod:`fixtures` (worked examples with
 known values), :mod:`measures` (the measure-id registry), :mod:`cli` (the
@@ -51,6 +52,7 @@ from .distance import (
 from .empirical import (
     EmpiricalJoint,
     FiniteInstance,
+    LevelSets,
     RecalibrationMap,
     from_samples,
     project,

@@ -8,25 +8,22 @@ computed explicitly in :func:`tv_characterization` as an independent route.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .empirical import EmpiricalJoint
 
 
 def ece(joint: EmpiricalJoint) -> float:
-    """Sum over distinct v of mass(v) * |E[y|v] - v|."""
-    return sum(
-        mass * abs(mean - v)
-        for v, (mass, mean) in joint.level_sets().items()
-    )
+    """Sum over distinct v of mass(v) * |E[y|v] - v|: ece_q at q = 1."""
+    return ece_q(joint, 1.0)
 
 
 def ece_q(joint: EmpiricalJoint, q: float) -> float:
     """L^q version: E[|E[y|v] - v|^q]^(1/q).  Nondecreasing in q >= 1."""
     if q < 1.0:
         raise ValueError(f"q must be >= 1, got {q}")
-    total = sum(
-        mass * abs(mean - v) ** q
-        for v, (mass, mean) in joint.level_sets().items()
-    )
+    ls = joint.level_sets()
+    total = sum((ls.mass * np.abs(ls.mean - ls.vals) ** q).tolist())
     return total ** (1.0 / q)
 
 
@@ -37,11 +34,10 @@ def surrogate_masses(
 
     The surrogate splits each level set's mass v : (1 - v) between labels.
     """
-    obs: dict[tuple[float, int], float] = {}
-    for v, y, m in joint.atoms:
-        obs[(v, y)] = obs.get((v, y), 0.0) + m
+    obs = {(v, y): m for v, y, m in joint.atoms}
+    ls = joint.level_sets()
     out: dict[tuple[float, int], tuple[float, float]] = {}
-    for v, (mass, _) in joint.level_sets().items():
+    for v, mass in zip(ls.vals.tolist(), ls.mass.tolist()):
         for y, share in ((1, v), (0, 1.0 - v)):
             out[(v, y)] = (obs.get((v, y), 0.0), mass * share)
     return out

@@ -103,9 +103,18 @@ def emit(obj, out: str | None) -> None:
 # ingestion
 
 
-def load_joint(path: str) -> tuple[EmpiricalJoint, FiniteInstance | None]:
+@contextmanager
+def input_errors(path: str):
+    """Map a bad input file to exit 2; bad rows raise KeyError or TypeError."""
     try:
-        suffix = Path(path).suffix.lower()
+        yield
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"malformed input {path}: {exc}", EXIT_BAD_INPUT)
+
+
+def load_joint(path: str) -> tuple[EmpiricalJoint, FiniteInstance | None]:
+    suffix = Path(path).suffix.lower()
+    with input_errors(path):
         if suffix == ".csv":
             return read_csv(path), None
         if suffix == ".jsonl":
@@ -113,14 +122,10 @@ def load_joint(path: str) -> tuple[EmpiricalJoint, FiniteInstance | None]:
         if suffix == ".json":
             inst = read_instance_json(path)
             return project(inst), inst
-        raise CliError(
-            f"unsupported input format {suffix!r} (use .csv, .jsonl, .json)",
-            EXIT_BAD_INPUT,
-        )
-    except CliError:
-        raise
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise CliError(f"malformed input {path}: {exc}", EXIT_BAD_INPUT)
+    raise CliError(
+        f"unsupported input format {suffix!r} (use .csv, .jsonl, .json)",
+        EXIT_BAD_INPUT,
+    )
 
 
 def input_digest(path: str) -> str:
@@ -186,11 +191,9 @@ def cmd_report(args) -> None:
 
 
 def cmd_oracle(args) -> None:
-    try:
+    with input_errors(args.input):
         instance = read_instance_json(args.input)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise CliError(f"malformed input {args.input}: {exc}", EXIT_BAD_INPUT)
-    joint = project(instance)
+        joint = project(instance)
     with measure_errors("dce"):
         dce = dce_oracle(instance, args.cap)
         upper = dce_upper_oracle(joint, args.cap)
@@ -336,20 +339,16 @@ def cmd_plotdata(args) -> None:
     if args.kind == "reliability":
         joint, _ = load_joint(args.input)
         lines.append("prediction,conditional_mean,mass")
-        for v, (mass, mean) in sorted(joint.level_sets().items()):
-            lines.append(
-                f"{v:.17g},{mean:.17g},{mass:.17g}"
-            )
+        ls = joint.level_sets()
+        for v, mean, mass in zip(
+            ls.vals.tolist(), ls.mean.tolist(), ls.mass.tolist()
+        ):
+            lines.append(f"{v:.17g},{mean:.17g},{mass:.17g}")
     elif args.kind == "transcript":
-        try:
+        with input_errors(args.input):
             data = json.loads(Path(args.input).read_text())
             transcript = Transcript(
                 tuple((float(p), int(y)) for p, y in data["rounds"])
-            )
-        except (OSError, ValueError, KeyError, TypeError,
-                json.JSONDecodeError) as exc:
-            raise CliError(
-                f"malformed transcript {args.input}: {exc}", EXIT_BAD_INPUT
             )
         measures = [m.strip() for m in args.measures.split(",") if m.strip()]
         curves = {}

@@ -292,10 +292,12 @@ def cfdl_bregman(joint: EmpiricalJoint, task: DecisionTask) -> float:
     """Fixed decision loss via the induced Bregman divergence between each
     level set's recalibrated value and its prediction."""
     phi = task_potential(task)
-    phat = recalibrate(joint).as_dict()
+    ls = joint.level_sets()
     return sum(
-        mass * bregman(phi, phat[v], v)
-        for v, (mass, _) in joint.level_sets().items()
+        mass * bregman(phi, mean, v)
+        for v, mass, mean in zip(
+            ls.vals.tolist(), ls.mass.tolist(), ls.mean.tolist()
+        )
     )
 
 
@@ -326,20 +328,18 @@ def cdl(joint: EmpiricalJoint) -> float:
     scan evaluates the value and both one-sided limits analytically at
     every breakpoint.
     """
-    levels = joint.level_sets()
-    v2 = np.array(sorted(levels))  # predictions
-    mass = np.array([levels[v][0] for v in v2])
-    v1 = np.array([levels[v][1] for v in v2])  # recalibrated values
+    ls = joint.level_sets()
+    v2, mass, v1 = ls.vals, ls.mass, ls.mean  # predictions, recalibrated
     lo = np.minimum(v1, v2)
     hi = np.maximum(v1, v2)
 
     bps = np.unique(np.concatenate([v1, v2, [0.0, 1.0]]))
     b = bps[:, None]
     term = 2.0 * mass[None, :] * np.abs(v1[None, :] - b)
+    # the interval is right-closed: the value at b is its left limit too
     member_exact = (lo[None, :] < b) & (b <= hi[None, :])
-    member_left = member_exact  # the interval is left-open, right-closed
     member_right = (lo[None, :] <= b) & (b < hi[None, :])
     best = 0.0
-    for member in (member_exact, member_left, member_right):
+    for member in (member_exact, member_right):
         best = max(best, float((term * member).sum(axis=1).max()))
     return best

@@ -14,7 +14,6 @@ values of a joint, i.e. over calibrated post-processings.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -62,8 +61,12 @@ class IntervalPartition:
     def index(self, v: float) -> int:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"value {v} outside [0, 1]")
-        j = bisect_right(self.breakpoints, v) - 1
-        return min(j, len(self) - 1)  # v = 1 goes in the last (closed) interval
+        return int(self.indices(v))
+
+    def indices(self, vs: np.ndarray) -> np.ndarray:
+        """index(v) for each of an array of values in [0, 1]."""
+        j = np.searchsorted(self.breakpoints, vs, side="right") - 1
+        return np.minimum(j, len(self) - 1)  # 1 is in the last interval
 
     def midpoint(self, j: int) -> float:
         return 0.5 * (self.breakpoints[j] + self.breakpoints[j + 1])
@@ -71,10 +74,9 @@ class IntervalPartition:
 
 def ce_partition(joint: EmpiricalJoint, part: IntervalPartition) -> float:
     """Sum over intervals of |E[(y - v) 1(v in I_j)]|."""
-    res = [0.0] * len(part)
-    for v, y, m in joint.atoms:
-        res[part.index(v)] += m * (y - v)
-    return sum(abs(r) for r in res)
+    ls = joint.level_sets()
+    res = np.bincount(part.indices(ls.vals), ls.residual, len(part))
+    return float(np.abs(res).sum())
 
 
 def intce_partition(joint: EmpiricalJoint, part: IntervalPartition) -> float:
@@ -108,15 +110,13 @@ class CanonicalPredictor:
 def canonical_predictor(
     joint: EmpiricalJoint, part: IntervalPartition
 ) -> CanonicalPredictor:
-    mass = [0.0] * len(part)
-    ymass = [0.0] * len(part)
-    for v, y, m in joint.atoms:
-        j = part.index(v)
-        mass[j] += m
-        ymass[j] += m * y
+    ls = joint.level_sets()
+    j = part.indices(ls.vals)
+    mass = np.bincount(j, ls.mass, len(part)).tolist()
+    ymass = np.bincount(j, ls.mass * ls.mean, len(part)).tolist()
     values = tuple(
-        ymass[j] / mass[j] if mass[j] > 0.0 else part.midpoint(j)
-        for j in range(len(part))
+        y / m if m > 0.0 else part.midpoint(i)
+        for i, (m, y) in enumerate(zip(mass, ymass))
     )
     return CanonicalPredictor(part, values)
 
@@ -127,7 +127,7 @@ def canonical_predictor(
 
 def intce_opt(joint: EmpiricalJoint, g: int = 1000) -> float:
     """Min over partitions with breakpoints on the uniform g-grid of
-    (CE + width), via a per-width-cap DP over value groups.
+    (CE + width), via a DP over value groups run for every width cap.
 
     The reported value overestimates the unrestricted optimum by at most
     2/g: any partition's groups fit grid-aligned intervals after widening
@@ -137,35 +137,28 @@ def intce_opt(joint: EmpiricalJoint, g: int = 1000) -> float:
         raise ValueError("grid resolution must be >= 2")
     vals, rs = residuals(joint)
     m = len(vals)
-    cells = [min(int(v * g), g - 1) for v in vals]
-    sep = [cells[j] < cells[j + 1] for j in range(m - 1)]
-    if not all(sep):
+    cells = np.minimum((vals * g).astype(np.int64), g - 1)
+    sep = cells[:-1] < cells[1:]
+    if not sep.all():
         warnings.warn(
             f"grid g={g} too coarse to separate some prediction values; "
             "they are forced into shared intervals"
         )
     prefix = np.concatenate([[0.0], np.cumsum(rs)])
-    # group i..j needs a grid interval of this exact width
-    req = [[(cells[j] - cells[i] + 1) / g for j in range(m)] for i in range(m)]
-    cost = [
-        [abs(prefix[j + 1] - prefix[i]) for j in range(m)] for i in range(m)
-    ]
-    caps = sorted({req[i][j] for i in range(m) for j in range(i, m)})
-    best = np.inf
-    for cap in caps:
-        dp = [np.inf] * (m + 1)
-        dp[0] = 0.0
-        for j in range(m):
-            if j < m - 1 and not sep[j]:
-                continue  # cannot end a group here
-            for i in range(j + 1):
-                if i > 0 and not sep[i - 1]:
-                    continue  # cannot start a group here
-                if req[i][j] <= cap + 1e-15:
-                    dp[j + 1] = min(dp[j + 1], dp[i] + cost[i][j])
-        if dp[m] < np.inf:
-            best = min(best, dp[m] + cap)
-    return float(best)
+    # group i..j needs a grid interval of width req[i, j] and costs
+    # cost[i, j]; it can start and end only where the grid separates values
+    req = (cells[None, :] - cells[:, None] + 1) / g
+    cost = np.abs(prefix[None, 1:] - prefix[:-1, None])
+    can_start = np.concatenate([[True], sep])
+    caps = np.unique(req[np.triu_indices(m)])
+    # dp[c, j]: least CE of the first j values under width cap caps[c]
+    dp = np.full((len(caps), m + 1), np.inf)
+    dp[:, 0] = 0.0
+    for j in np.flatnonzero(np.concatenate([sep, [True]])):
+        fits = can_start[: j + 1] & (req[: j + 1, j] <= caps[:, None] + 1e-15)
+        cand = np.where(fits, dp[:, : j + 1] + cost[: j + 1, j], np.inf)
+        dp[:, j + 1] = cand.min(axis=1)
+    return float((dp[:, m] + caps).min())
 
 
 def random_grid_intce(
@@ -234,6 +227,8 @@ def _min_partition_cost(
     member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     # the empty set (index 0) has no mass and is never a block
     value = np.concatenate([[0.0], sums[1:, 1] / sums[1:, 0]])
+    # a singleton block keeps its cond exactly, not (mass * cond) / mass
+    value[1 << np.arange(n)] = cond
     cost = (member * mass * np.abs(pred - value[:, None])).sum(axis=1)
     f = np.zeros(1 << n)
     popcount = member.sum(axis=1)
@@ -262,10 +257,8 @@ def dce_upper_oracle(
 ) -> float:
     """Exact minimum l1 movement over calibrated post-processings of the
     joint's distinct prediction values."""
-    levels = joint.level_sets()
-    pred = np.array(sorted(levels))
-    mass, cond = np.array([levels[v] for v in pred]).T
-    return _min_partition_cost(mass, pred, cond, cap)
+    ls = joint.level_sets()
+    return _min_partition_cost(ls.mass, ls.vals, ls.mean, cap)
 
 
 def dce_from_instance(instance: FiniteInstance, cap: int = DEFAULT_ORACLE_CAP):

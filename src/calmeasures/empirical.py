@@ -10,13 +10,44 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
 
-MASS_TOL = 1e-12
-# Inputs whose total mass drifts by less than this are silently renormalized.
-MASS_DRIFT_LIMIT = 1e-9
+import numpy as np
+
+
+@dataclass(frozen=True, eq=False)
+class LevelSets(Mapping):
+    """The level sets of a joint as sorted float64 columns.
+
+    Per distinct prediction ``vals[i]``: the level set's ``mass[i]``, its
+    mean label ``mean[i]`` and its residual mass ``residual[i]``, the sum
+    of m (y - v) over its atoms.  The columns are read-only.  As a Mapping
+    it sends each v, in increasing order, to (mass, mean).
+    """
+
+    vals: np.ndarray
+    mass: np.ndarray
+    mean: np.ndarray
+    residual: np.ndarray
+
+    def __post_init__(self):
+        for col in (self.vals, self.mass, self.mean, self.residual):
+            col.flags.writeable = False
+
+    def __getitem__(self, v: float) -> tuple[float, float]:
+        i = int(np.searchsorted(self.vals, v))
+        if i == len(self.vals) or self.vals[i] != v:
+            raise KeyError(v)
+        return float(self.mass[i]), float(self.mean[i])
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self.vals.tolist())
+
+    def __len__(self) -> int:
+        return len(self.vals)
 
 
 @dataclass(frozen=True)
@@ -26,52 +57,65 @@ class EmpiricalJoint:
     Atoms are kept in canonical form: sorted by (v, y), exact-equal (v, y)
     merged, masses normalized to sum to 1.  Values differing in the last
     float bit are deliberately NOT merged; measures must tolerate
-    near-duplicate prediction values.
+    near-duplicate prediction values.  :meth:`make` is the one place that
+    groups atoms by prediction value; measures read its level-set columns.
     """
 
     atoms: tuple[tuple[float, int, float], ...]
+    _levels: LevelSets = field(compare=False, repr=False)
 
     @staticmethod
     def make(atoms: Iterable[tuple[float, int, float]]) -> "EmpiricalJoint":
-        merged: dict[tuple[float, int], float] = {}
-        for v, y, m in atoms:
-            v = float(v)
-            y = int(y)
-            m = float(m)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"prediction {v} outside [0, 1]")
-            if y not in (0, 1):
-                raise ValueError(f"label {y} not in {{0, 1}}")
-            if m < 0.0:
-                raise ValueError(f"negative mass {m}")
-            if m > 0.0:
-                merged[(v, y)] = merged.get((v, y), 0.0) + m
-        if not merged:
+        if not isinstance(atoms, np.ndarray):
+            atoms = list(atoms)
+        rows = np.asarray(atoms, dtype=float).reshape(len(atoms), 3)
+        v, y, m = rows.T
+        ok = (v >= 0.0) & (v <= 1.0) & ((y == 0.0) | (y == 1.0))
+        bad = ~(ok & (m >= 0.0) & (m < math.inf))
+        if bad.any():
+            raise ValueError(
+                f"invalid atom {tuple(rows[bad][0].tolist())}: need "
+                "prediction in [0, 1], label 0 or 1 and finite mass >= 0"
+            )
+        v, y, m = rows[m > 0.0].T
+        if not len(v):
             raise ValueError("empty joint: no atoms with positive mass")
-        total = sum(merged.values())
-        canon = tuple(
-            (v, y, m / total) for (v, y), m in sorted(merged.items())
+        # The stable sort keeps each (v, y) group in input order, so the
+        # merged masses are sequential sums in input order, and the total
+        # adds the groups in order of first occurrence.
+        order = np.lexsort((y, v))
+        v, y, m = v[order], y[order], m[order]
+        vnew = np.concatenate(([True], v[1:] != v[:-1]))
+        first = vnew | np.concatenate(([True], y[1:] != y[:-1]))
+        merged = np.bincount(first.cumsum() - 1, weights=m)
+        total = sum(merged[np.argsort(order[first])].tolist())
+        if total == math.inf:
+            raise ValueError("total mass overflows")
+        v, y, m = v[first], y[first].astype(np.int64), merged / total
+        starts = vnew[first]
+        level = starts.cumsum() - 1
+        mass = np.bincount(level, weights=m)
+        levels = LevelSets(
+            v[starts],
+            mass,
+            np.bincount(level, weights=m * y) / mass,
+            np.bincount(level, weights=m * (y - v)),
         )
-        return EmpiricalJoint(canon)
+        return EmpiricalJoint(
+            tuple(zip(v.tolist(), y.tolist(), m.tolist())), levels
+        )
 
     @property
     def total_mass(self) -> float:
         return sum(m for _, _, m in self.atoms)
 
     def distinct_values(self) -> list[float]:
-        seen: dict[float, None] = {}
-        for v, _, _ in self.atoms:
-            seen.setdefault(v)
-        return sorted(seen)
+        return self.level_sets().vals.tolist()
 
-    def level_sets(self) -> dict[float, tuple[float, float]]:
-        """Per distinct prediction v: (mass of the level set, mean label)."""
-        mass: dict[float, float] = {}
-        ymass: dict[float, float] = {}
-        for v, y, m in self.atoms:
-            mass[v] = mass.get(v, 0.0) + m
-            ymass[v] = ymass.get(v, 0.0) + m * y
-        return {v: (mass[v], ymass[v] / mass[v]) for v in mass}
+    def level_sets(self) -> LevelSets:
+        """Per distinct prediction v: (mass of the level set, mean label),
+        with the columns built by :meth:`make`."""
+        return self._levels
 
 
 @dataclass(frozen=True)
@@ -81,10 +125,7 @@ class RecalibrationMap:
     entries: tuple[tuple[float, float], ...]
 
     def __call__(self, v: float) -> float:
-        for u, phat in self.entries:
-            if u == v:
-                return phat
-        raise KeyError(f"prediction value {v} not in recalibration domain")
+        return self.as_dict()[v]
 
     def as_dict(self) -> dict[float, float]:
         return dict(self.entries)
@@ -108,8 +149,8 @@ class FiniteInstance:
             mass = float(mass)
             pred = float(pred)
             cond_mean = float(cond_mean)
-            if mass < 0.0:
-                raise ValueError(f"negative mass at point {pid!r}")
+            if not 0.0 <= mass < math.inf:
+                raise ValueError(f"mass {mass} outside [0, inf) at {pid!r}")
             if not 0.0 <= pred <= 1.0:
                 raise ValueError(f"pred {pred} outside [0, 1] at {pid!r}")
             if not 0.0 <= cond_mean <= 1.0:
@@ -146,25 +187,20 @@ def from_samples(
     """
     if not pairs:
         raise ValueError("empty input")
-    if weights is None:
-        weights = [1.0] * len(pairs)
-    if len(weights) != len(pairs):
-        raise ValueError("weights length must match pairs length")
-    for w in weights:
-        if w < 0.0:
-            raise ValueError(f"negative weight {w}")
-    if sum(weights) <= 0.0:
-        raise ValueError("weights sum to zero")
-    return EmpiricalJoint.make(
-        (v, y, w) for (v, y), w in zip(pairs, weights)
-    )
+    rows = np.ones((len(pairs), 3))
+    rows[:, :2] = pairs
+    if weights is not None:
+        if len(weights) != len(pairs):
+            raise ValueError("weights length must match pairs length")
+        rows[:, 2] = weights
+    return EmpiricalJoint.make(rows)
 
 
 def recalibrate(joint: EmpiricalJoint) -> RecalibrationMap:
     """Map each distinct prediction value v to E[y | v] under the joint."""
     levels = joint.level_sets()
     return RecalibrationMap(
-        tuple((v, levels[v][1]) for v in sorted(levels))
+        tuple(zip(levels.vals.tolist(), levels.mean.tolist()))
     )
 
 
@@ -201,19 +237,16 @@ def read_csv(path: str | Path) -> EmpiricalJoint:
             raise ValueError(f"{path}: missing header with 'prediction' column")
         pairs: list[tuple[float, int]] = []
         weights: list[float] = []
-        weighted = "weight" in reader.fieldnames
         for row in reader:
             pairs.append((float(row["prediction"]), int(row["label"])))
-            if weighted:
-                weights.append(float(row["weight"]))
-    return from_samples(pairs, weights if weighted else None)
+            weights.append(float(row.get("weight", 1.0)))
+    return from_samples(pairs, weights)
 
 
 def read_jsonl(path: str | Path) -> EmpiricalJoint:
     """One object {"p": float, "y": 0|1, "w": float?} per line."""
     pairs: list[tuple[float, int]] = []
     weights: list[float] = []
-    any_weight = False
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -221,14 +254,10 @@ def read_jsonl(path: str | Path) -> EmpiricalJoint:
                 continue
             obj = json.loads(line)
             pairs.append((float(obj["p"]), int(obj["y"])))
-            if "w" in obj:
-                any_weight = True
-                weights.append(float(obj["w"]))
-            else:
-                weights.append(1.0)
+            weights.append(float(obj.get("w", 1.0)))
     if not pairs:
         raise ValueError(f"{path}: no records")
-    return from_samples(pairs, weights if any_weight else None)
+    return from_samples(pairs, weights)
 
 
 def read_instance_json(path: str | Path) -> FiniteInstance:

@@ -45,24 +45,20 @@ class WeightFunction:
 
 def residuals(joint: EmpiricalJoint) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct values and their residual masses c_v = sum m (y - v)."""
-    acc: dict[float, float] = {}
-    for v, y, m in joint.atoms:
-        acc[v] = acc.get(v, 0.0) + m * (y - v)
-    vals = np.array(sorted(acc))
-    return vals, np.array([acc[v] for v in vals])
+    ls = joint.level_sets()
+    return ls.vals, ls.residual
 
 
 def weighted_ce(joint: EmpiricalJoint, w: WeightFunction) -> float:
     """|E[w(v)(y - v)]| for a single weight function."""
-    total = 0.0
-    for v, y, m in joint.atoms:
-        wv = w(v)
+    vals, rs = residuals(joint)
+    ws = [w(v) for v in vals.tolist()]
+    for v, wv in zip(vals.tolist(), ws):
         if abs(wv) > 1.0 + 1e-12:
             raise ValueError(
                 f"weight function evaluates to {wv} outside [-1, 1] at v={v}"
             )
-        total += m * wv * (y - v)
-    return abs(total)
+    return abs(float(np.dot(ws, rs)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,26 +148,15 @@ def smce_lp_oracle(joint: EmpiricalJoint, grid: int = 100) -> float:
     vals, cs = residuals(joint)
     pts = np.unique(np.concatenate([vals, np.linspace(0.0, 1.0, grid + 1)]))
     n = len(pts)
-    idx = {v: np.searchsorted(pts, v) for v in vals}
     c_obj = np.zeros(n)
-    for v, c in zip(vals, cs):
-        c_obj[idx[v]] += c
-    rows_a = []
-    rows_b = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = pts[j] - pts[i]
-            row = np.zeros(n)
-            row[i] = 1.0
-            row[j] = -1.0
-            rows_a.append(row)
-            rows_b.append(gap)
-            rows_a.append(-row)
-            rows_b.append(gap)
+    c_obj[np.searchsorted(pts, vals)] = cs
+    # w_i - w_j <= gap and w_j - w_i <= gap for every pair i < j
+    i, j = np.triu_indices(n, 1)
+    rows = np.eye(n)[i] - np.eye(n)[j]
     res = linprog(
         -c_obj,
-        A_ub=np.array(rows_a),
-        b_ub=np.array(rows_b),
+        A_ub=np.stack([rows, -rows], axis=1).reshape(-1, n),
+        b_ub=np.repeat(pts[j] - pts[i], 2),
         bounds=[(-1.0, 1.0)] * n,
         method="highs",
     )
@@ -216,11 +201,8 @@ def low_degree_ce(joint: EmpiricalJoint, d: int) -> float:
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
-    best = 0.0
-    for k in range(d + 1):
-        moment = sum(m * v**k * (y - v) for v, y, m in joint.atoms)
-        best = max(best, abs(moment))
-    return best
+    ls = joint.level_sets()
+    return max(abs(float(ls.vals**k @ ls.residual)) for k in range(d + 1))
 
 
 def laplace_kernel(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -239,12 +221,11 @@ def kernel_ce(
     kernel: str | Callable[[np.ndarray, np.ndarray], np.ndarray] = "laplace",
 ) -> float:
     """RKHS-unit-ball maximum of E[w(v)(y - v)]: sqrt of the Gram quadratic
-    form of the residual signed measure."""
+    form of the residual signed measure on the distinct predictions."""
     if isinstance(kernel, str) and kernel not in _KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     kfun = _KERNELS[kernel] if isinstance(kernel, str) else kernel
-    vs = np.array([v for v, _, _ in joint.atoms])
-    rs = np.array([m * (y - v) for v, y, m in joint.atoms])
+    vs, rs = residuals(joint)
     gram = kfun(vs[:, None], vs[None, :])
     eigs = np.linalg.eigvalsh(gram)
     if eigs.min() < -1e-9:
