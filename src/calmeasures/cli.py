@@ -105,11 +105,20 @@ def emit(obj, out: str | None) -> None:
 
 @contextmanager
 def input_errors(path: str):
-    """Map a bad input file to exit 2; bad rows raise KeyError or TypeError."""
+    """Map a bad input file to exit 2; bad rows raise KeyError or TypeError,
+    and a JSON integer too large for a float raises OverflowError."""
     try:
         yield
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CliError(f"malformed input {path}: {exc}", EXIT_BAD_INPUT)
+
+
+def parse_label(y) -> int:
+    """A JSON label as 0 or 1: 0, 1, 0.0 and 1.0 pass, anything else is
+    malformed rather than truncated."""
+    if float(y) not in (0.0, 1.0):
+        raise ValueError(f"label {y!r} is not 0 or 1")
+    return int(y)
 
 
 def load_joint(path: str) -> tuple[EmpiricalJoint, FiniteInstance | None]:
@@ -348,7 +357,7 @@ def cmd_plotdata(args) -> None:
         with input_errors(args.input):
             data = json.loads(Path(args.input).read_text())
             transcript = Transcript(
-                tuple((float(p), int(y)) for p, y in data["rounds"])
+                tuple((float(p), parse_label(y)) for p, y in data["rounds"])
             )
         measures = [m.strip() for m in args.measures.split(",") if m.strip()]
         curves = {}

@@ -13,6 +13,9 @@ import json
 import math
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +80,9 @@ class EmpiricalJoint:
                 f"invalid atom {tuple(rows[bad][0].tolist())}: need "
                 "prediction in [0, 1], label 0 or 1 and finite mass >= 0"
             )
-        v, y, m = rows[m > 0.0].T
+        positive = m > 0.0
+        if not positive.all():
+            v, y, m = rows[positive].T
         if not len(v):
             raise ValueError("empty joint: no atoms with positive mass")
         # The stable sort keeps each (v, y) group in input order, so the
@@ -87,7 +92,9 @@ class EmpiricalJoint:
         v, y, m = v[order], y[order], m[order]
         vnew = np.concatenate(([True], v[1:] != v[:-1]))
         first = vnew | np.concatenate(([True], y[1:] != y[:-1]))
-        merged = np.bincount(first.cumsum() - 1, weights=m)
+        group = first.cumsum()
+        group -= 1
+        merged = np.bincount(group, weights=m)
         total = sum(merged[np.argsort(order[first])].tolist())
         if total == math.inf:
             raise ValueError("total mass overflows")
@@ -162,6 +169,8 @@ class FiniteInstance:
         if not rows:
             raise ValueError("empty instance: no points with positive mass")
         total = sum(m for _, m, _, _ in rows)
+        if total == math.inf:
+            raise ValueError("total mass overflows")
         return FiniteInstance(
             tuple((pid, m / total, p, c) for pid, m, p, c in rows)
         )
@@ -230,34 +239,93 @@ def project(instance: FiniteInstance) -> EmpiricalJoint:
 
 
 def read_csv(path: str | Path) -> EmpiricalJoint:
-    """Columns prediction,label[,weight]; header required."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "prediction" not in reader.fieldnames:
-            raise ValueError(f"{path}: missing header with 'prediction' column")
-        pairs: list[tuple[float, int]] = []
-        weights: list[float] = []
-        for row in reader:
-            pairs.append((float(row["prediction"]), int(row["label"])))
-            weights.append(float(row.get("weight", 1.0)))
-    return from_samples(pairs, weights)
+    """Columns prediction,label[,weight], found by name in the header, in
+    any order and among any others.  The label must be the integer 0 or 1.
+    The body is parsed by one ``np.loadtxt`` call."""
+    return EmpiricalJoint.make(_csv_rows(path))
+
+
+def _csv_rows(path: str | Path) -> np.ndarray:
+    """The (n, 3) rows of a CSV file; the parsed body is freed on return,
+    before ``make`` runs."""
+    with open(path) as fh:
+        names = [name.strip() for name in next(csv.reader([fh.readline()]))]
+        col = {name: i for i, name in enumerate(names)}
+        if "prediction" not in col or "label" not in col:
+            raise ValueError(
+                f"{path}: missing header with 'prediction' and 'label' columns"
+            )
+        fields = [("prediction", np.float64), ("label", np.int64)]
+        if "weight" in col:
+            fields.append(("weight", np.float64))
+        # np.loadtxt skips empty lines, and warns when nothing is left
+        body_start = fh.tell()
+        if all(line == "\n" for line in fh):
+            raise ValueError(f"{path}: no rows")
+        fh.seek(body_start)
+        body = np.loadtxt(
+            fh, dtype=fields, delimiter=",", comments=None, quotechar='"',
+            usecols=[col[name] for name, _ in fields], ndmin=1,
+        )
+    rows = np.ones((len(body), 3))
+    for j, (name, _) in enumerate(fields):
+        rows[:, j] = body[name]
+    return rows
+
+
+# Lines of a JSONL file decoded per call, by size in characters.
+JSONL_BLOCK = 1 << 16
 
 
 def read_jsonl(path: str | Path) -> EmpiricalJoint:
-    """One object {"p": float, "y": 0|1, "w": float?} per line."""
-    pairs: list[tuple[float, int]] = []
-    weights: list[float] = []
+    """One object {"p": float, "y": 0|1, "w": float?} per line; blank lines
+    are skipped.  Each block of lines is decoded by one ``json.loads`` call
+    and copied into columns, so only one block's objects are alive."""
+    return EmpiricalJoint.make(_jsonl_rows(path))
+
+
+def _jsonl_rows(path: str | Path) -> np.ndarray:
+    """The (n, 3) rows of a JSONL file, one block of lines at a time."""
+    blocks = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lines in iter(partial(fh.readlines, JSONL_BLOCK), []):
+            lines = list(filter(None, map(str.strip, lines)))
+            if not lines:
                 continue
-            obj = json.loads(line)
-            pairs.append((float(obj["p"]), int(obj["y"])))
-            weights.append(float(obj.get("w", 1.0)))
-    if not pairs:
+            objs = _json_objects(lines)
+            blocks.append(np.column_stack([
+                np.fromiter(map(itemgetter("p"), objs), float, len(objs)),
+                np.fromiter(map(itemgetter("y"), objs), float, len(objs)),
+                np.fromiter(map(dict.get, objs, repeat("w"), repeat(1.0)),
+                            float, len(objs)),
+            ]))
+    if not blocks:
         raise ValueError(f"{path}: no records")
-    return from_samples(pairs, weights)
+    return np.concatenate(blocks)
+
+
+def _json_objects(lines: list[str]) -> list[dict]:
+    """The JSON object on each of ``lines``.
+
+    All lines are decoded in one call, joined by a comma and a newline.  A
+    raw newline cannot sit inside a JSON string, so a value could only run
+    across a line break inside an array or before an object member's key.
+    With no "[" in the text and every line starting with "{", neither can
+    happen, and n values from n lines are one object per line.  Other text
+    is decoded line by line, which also gives the error of the bad line.
+    """
+    body = ",\n".join(lines)
+    if "[" not in body and all(map(str.startswith, lines, repeat("{"))):
+        try:
+            objs = json.loads(f"[{body}]")
+        except ValueError:
+            objs = []
+        if len(objs) == len(lines):
+            return objs
+    objs = list(map(json.loads, lines))
+    if not all(isinstance(obj, dict) for obj in objs):
+        raise ValueError("every line must hold one JSON object")
+    return objs
 
 
 def read_instance_json(path: str | Path) -> FiniteInstance:
