@@ -1,15 +1,14 @@
 """Run `report --verify-relations` on a large CSV and a large JSONL file.
 
-Usage: python scripts/scale_smoke.py [--rows 1000000] [--seed 0]
+Usage: python scripts/scale_smoke.py
 
-Writes a CSV and a JSONL file of --rows Beta(2, 3) scores rounded to 2
+Writes a CSV and a JSONL file of ROWS Beta(2, 3) scores rounded to 2
 decimals, with Bernoulli labels, to a temporary directory, and runs the
 default report with --verify-relations on each through calmeasures.cli.
 Prints the wall time of each run and exits 1 if either run fails.  The
 times are printed, not gated.
 """
 
-import argparse
 import json
 import sys
 import tempfile
@@ -21,11 +20,14 @@ import numpy as np
 
 from calmeasures.cli import main as calmeasure
 
+ROWS = 10**6
+SEED = 0
 
-def write_inputs(work: Path, rows: int, seed: int) -> list[Path]:
-    rng = np.random.default_rng(seed)
-    p = np.round(rng.beta(2.0, 3.0, rows), 2)
-    y = (rng.random(rows) < p).astype(np.int64)
+
+def write_inputs(work: Path) -> list[Path]:
+    rng = np.random.default_rng(SEED)
+    p = np.round(rng.beta(2.0, 3.0, ROWS), 2)
+    y = (rng.random(ROWS) < p).astype(np.int64)
     csv_path, jsonl_path = work / "scores.csv", work / "scores.jsonl"
     pairs = list(zip(p.tolist(), y.tolist()))
     csv_path.write_text(
@@ -55,13 +57,8 @@ def run(path: Path) -> bool:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--rows", type=int, default=10**6)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
-
     with tempfile.TemporaryDirectory() as tmp:
-        paths = write_inputs(Path(tmp), args.rows, args.seed)
+        paths = write_inputs(Path(tmp))
         ok = all([run(path) for path in paths])
     if not ok:
         print("FAILED")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
@@ -263,10 +264,16 @@ def _csv_rows(path: str | Path) -> np.ndarray:
         if all(line == "\n" for line in fh):
             raise ValueError(f"{path}: no rows")
         fh.seek(body_start)
-        body = np.loadtxt(
-            fh, dtype=fields, delimiter=",", comments=None, quotechar='"',
-            usecols=[col[name] for name, _ in fields], ndmin=1,
-        )
+        # Some numpy versions parse "0.5" into an int64 column through
+        # float, truncating it, with only a DeprecationWarning; as an error
+        # it becomes the ValueError that later versions raise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            body = np.loadtxt(
+                fh, dtype=fields, delimiter=",", comments=None,
+                quotechar='"', usecols=[col[name] for name, _ in fields],
+                ndmin=1,
+            )
     rows = np.ones((len(body), 3))
     for j, (name, _) in enumerate(fields):
         rows[:, j] = body[name]
@@ -274,13 +281,15 @@ def _csv_rows(path: str | Path) -> np.ndarray:
 
 
 # Lines of a JSONL file decoded per call, by size in characters.
-JSONL_BLOCK = 1 << 16
+_JSONL_BLOCK = 1 << 16
+_scan_json = json.JSONDecoder().scan_once
 
 
 def read_jsonl(path: str | Path) -> EmpiricalJoint:
     """One object {"p": float, "y": 0|1, "w": float?} per line; blank lines
     are skipped.  Each block of lines is decoded by one ``json.loads`` call
-    and copied into columns, so only one block's objects are alive."""
+    when it has no "[" (see ``_json_objects``), else line by line, and
+    copied into columns, so only one block's objects are alive."""
     return EmpiricalJoint.make(_jsonl_rows(path))
 
 
@@ -288,7 +297,7 @@ def _jsonl_rows(path: str | Path) -> np.ndarray:
     """The (n, 3) rows of a JSONL file, one block of lines at a time."""
     blocks = []
     with open(path) as fh:
-        for lines in iter(partial(fh.readlines, JSONL_BLOCK), []):
+        for lines in iter(partial(fh.readlines, _JSONL_BLOCK), []):
             lines = list(filter(None, map(str.strip, lines)))
             if not lines:
                 continue
@@ -312,7 +321,9 @@ def _json_objects(lines: list[str]) -> list[dict]:
     across a line break inside an array or before an object member's key.
     With no "[" in the text and every line starting with "{", neither can
     happen, and n values from n lines are one object per line.  Other text
-    is decoded line by line, which also gives the error of the bad line.
+    is decoded line by line by the same C scanner; a line that does not
+    hold exactly one object is decoded again by ``json.loads``, for the
+    error of the bad line.
     """
     body = ",\n".join(lines)
     if "[" not in body and all(map(str.startswith, lines, repeat("{"))):
@@ -322,9 +333,16 @@ def _json_objects(lines: list[str]) -> list[dict]:
             objs = []
         if len(objs) == len(lines):
             return objs
-    objs = list(map(json.loads, lines))
-    if not all(isinstance(obj, dict) for obj in objs):
-        raise ValueError("every line must hold one JSON object")
+    objs = []
+    for line in lines:
+        try:
+            obj, end = _scan_json(line, 0)
+        except (StopIteration, ValueError):
+            obj, end = None, 0
+        if end != len(line) or not isinstance(obj, dict):
+            json.loads(line)  # raises the error of a malformed line
+            raise ValueError("every line must hold one JSON object")
+        objs.append(obj)
     return objs
 
 

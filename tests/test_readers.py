@@ -5,6 +5,7 @@ with one error line), and the readers' peak memory per row."""
 import csv
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,15 @@ def test_jsonl_text_with_brackets_reads_line_by_line(tmp_path):
     assert_bit_identical(read_jsonl(path), reference_read_jsonl(path))
 
 
+def test_jsonl_with_list_fields_is_bit_identical(tmp_path):
+    p, y, w = random_rows(10**4, True, seed=7)
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(
+        json.dumps({"p": a, "y": b, "w": c, "tags": [b, "x"]}) + "\n"
+        for a, b, c in zip(p.tolist(), y.tolist(), w.tolist())))
+    assert_bit_identical(read_jsonl(path), reference_read_jsonl(path))
+
+
 EXPECTED = from_samples([(0.4, 1), (0.5, 0)], [2.0, 1.0])
 
 
@@ -162,6 +172,10 @@ def exits_2_with_one_line(capsys, argv):
      '{"p": 0.4, "y": 1, "v": [{"a": 1}\n{"b": 2}]}\n'
      '{"p": 0.5, "y": 0}, {"p": 0.6, "y": 1}\n'),
     ("array.jsonl", '{"p": 0.5, "y": 0}\n[0.4, 1]\n'),
+    ("list-field-and-two.jsonl",
+     '{"p": 0.4, "y": 1, "t": [1]}\n{"p": 0.5, "y": 0} {"p": 0.6, "y": 1}\n'),
+    ("list-field-and-comment.jsonl",
+     '{"p": 0.4, "y": 1, "t": [1]}\n# a comment\n'),
     ("string.jsonl", '"p"\n'),
     ("number.jsonl", '0.4\n'),
     ("fractional-label.jsonl", '{"p": 0.4, "y": 0.7}\n{"p": 0.6, "y": 1}\n'),
@@ -172,6 +186,26 @@ def exits_2_with_one_line(capsys, argv):
 def test_rejected_input_exits_2(tmp_path, capsys, name, text):
     path = tmp_path / name
     path.write_text(text)
+    exits_2_with_one_line(capsys, ["report", str(path)])
+
+
+def test_csv_label_parsed_through_float_is_refused(tmp_path, capsys,
+                                                  monkeypatch):
+    """Some numpy versions read "0.5" into an int64 column as 0 with only a
+    DeprecationWarning, which numpy turns into a ValueError when warnings
+    are errors; this fake loadtxt does the same."""
+    def old_loadtxt(fh, dtype, **kwargs):
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is "
+                          "deprecated.", DeprecationWarning)
+        except DeprecationWarning as exc:
+            raise ValueError("could not convert string '0.5' to int64 at "
+                             "row 0, column 2.") from exc
+        return np.array([(0.4, 0)], dtype=dtype)
+
+    monkeypatch.setattr(np, "loadtxt", old_loadtxt)
+    path = tmp_path / "fractional-label.csv"
+    path.write_text("prediction,label\n0.4,0.5\n")
     exits_2_with_one_line(capsys, ["report", str(path)])
 
 
