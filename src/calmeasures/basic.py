@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .empirical import EmpiricalJoint
+from .empirical import EmpiricalJoint, atom_sum
 
 
 def ece(joint: EmpiricalJoint) -> float:
@@ -34,29 +34,31 @@ def surrogate_masses(
 
     The surrogate splits each level set's mass v : (1 - v) between labels.
     """
-    obs = {(v, y): m for v, y, m in joint.atoms}
     ls = joint.level_sets()
-    out: dict[tuple[float, int], tuple[float, float]] = {}
-    for v, mass in zip(ls.vals.tolist(), ls.mass.tolist()):
-        for y, share in ((1, v), (0, 1.0 - v)):
-            out[(v, y)] = (obs.get((v, y), 0.0), mass * share)
+    out = {}
+    cols = (ls.vals, ls.m0, ls.m1, ls.mass)
+    for v, m0, m1, mass in zip(*(col.tolist() for col in cols)):
+        out[(v, 1)], out[(v, 0)] = (m1, mass * v), (m0, mass * (1.0 - v))
     return out
 
 
 def tv_characterization(joint: EmpiricalJoint) -> float:
-    """Total variation between the joint and its Bernoulli surrogate,
-    computed by explicit per-atom mass comparison.  Equals ece(joint)."""
-    return 0.5 * sum(
-        abs(a - b) for a, b in surrogate_masses(joint).values()
+    """Total variation between the joint and its Bernoulli surrogate, from
+    the per-label masses and not the mean column.  Equals ece(joint)."""
+    ls = joint.level_sets()
+    return 0.5 * atom_sum(
+        np.abs(ls.m1 - ls.mass * ls.vals),
+        np.abs(ls.m0 - ls.mass * (1.0 - ls.vals)),
     )
 
 
-def bucket_midpoint(v: float, b: int) -> float:
-    """Midpoint of v's bucket in the b-way equal partition of [0, 1].
+def bucket_midpoint(v, b: int):
+    """Midpoint of v's bucket (or of each of an array of v's) in the b-way
+    equal partition of [0, 1].
 
     Buckets are [(j-1)/b, j/b), the last one closed.
     """
-    j = min(int(v * b), b - 1)
+    j = np.minimum(np.floor(np.multiply(v, b)), b - 1)
     return (j + 0.5) / b
 
 
@@ -68,10 +70,7 @@ def binned_ece(joint: EmpiricalJoint, b: int) -> float:
     """
     if b < 1:
         raise ValueError(f"number of buckets must be >= 1, got {b}")
-    rounded = EmpiricalJoint.make(
-        (bucket_midpoint(v, b), y, m) for v, y, m in joint.atoms
-    )
-    return ece(rounded)
+    return ece(joint.with_values(bucket_midpoint(joint.level_sets().vals, b)))
 
 
 def sign_witness_ce(joint: EmpiricalJoint, signs: dict[float, int]) -> float:
@@ -83,14 +82,3 @@ def sign_witness_ce(joint: EmpiricalJoint, signs: dict[float, int]) -> float:
     return sum(
         signs[v] * m * (y - v) for v, y, m in joint.atoms
     )
-
-
-__all__ = [
-    "ece",
-    "ece_q",
-    "tv_characterization",
-    "binned_ece",
-    "bucket_midpoint",
-    "surrogate_masses",
-    "sign_witness_ce",
-]

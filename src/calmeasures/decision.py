@@ -22,7 +22,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .empirical import EmpiricalJoint, recalibrate
+from .empirical import EmpiricalJoint, atom_sum
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,16 @@ def quadratic_task(grid: int = 1000) -> DecisionTask:
 
 def best_response(task: DecisionTask, v: float) -> int:
     """argmax_a of v u(a,1) + (1-v) u(a,0); ties -> lowest action index."""
-    u = task.payoff_matrix()
-    scores = v * u[:, 1] + (1.0 - v) * u[:, 0]
-    return int(np.argmax(scores))  # argmax returns the first maximizer
+    return int(_best_responses(task.payoff_matrix(), np.array([v]))[0])
+
+
+def _best_responses(u: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """best_response to each of vs, scored in blocks of ~2^20 payoffs;
+    argmax returns the first maximizer."""
+    return np.concatenate([
+        np.argmax(np.outer(v, u[:, 1]) + np.outer(1.0 - v, u[:, 0]), axis=1)
+        for v in np.array_split(vs, max(1, len(vs) * len(u) >> 20))
+    ])
 
 
 def expected_payoff(
@@ -96,37 +103,25 @@ def expected_payoff(
     task: DecisionTask,
     policy: Mapping[float, int] | Callable[[float], int],
 ) -> float:
-    """E[u(policy(v), y)] over the joint's atoms."""
-    u = task.payoff_matrix()
-    total = 0.0
-    for v, y, m in joint.atoms:
-        if callable(policy):
-            a = policy(v)
-        else:
-            try:
-                a = policy[v]
-            except KeyError:
-                raise ValueError(f"policy undefined on support value {v}")
-        total += m * u[a, y]
-    return total
+    """E[u(policy(v), y)] over the joint; the policy is asked once per
+    distinct prediction."""
+    ls = joint.level_sets()
+    vals = ls.vals.tolist()
+    acts = [(policy if callable(policy) else policy.get)(v) for v in vals]
+    if None in acts:
+        v = vals[acts.index(None)]
+        raise ValueError(f"policy undefined on support value {v}")
+    u = task.payoff_matrix()[acts]
+    return atom_sum(ls.m0 * u[:, 0], ls.m1 * u[:, 1])
 
 
 def cfdl(joint: EmpiricalJoint, task: DecisionTask) -> float:
     """Payoff gained by best-responding to the recalibration instead of
     the raw predictions."""
-    phat = recalibrate(joint).as_dict()
+    ls = joint.level_sets()
     u = task.payoff_matrix()
-    br: dict[float, int] = {}
-
-    def respond(v: float) -> int:
-        if v not in br:
-            br[v] = best_response(task, v)
-        return br[v]
-
-    total = 0.0
-    for v, y, m in joint.atoms:
-        total += m * (u[respond(phat[v]), y] - u[respond(v), y])
-    return total
+    gain = u[_best_responses(u, ls.mean)] - u[_best_responses(u, ls.vals)]
+    return atom_sum(ls.m0 * gain[:, 0], ls.m1 * gain[:, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .empirical import EmpiricalJoint, FiniteInstance, project
+from .empirical import EmpiricalJoint, FiniteInstance, atom_sum, project
 from .lipschitz import residuals
 
 DEFAULT_ORACLE_CAP = 12
@@ -98,13 +98,17 @@ class CanonicalPredictor:
         return self.values[self.partition.index(v)]
 
     def apply(self, joint: EmpiricalJoint) -> EmpiricalJoint:
-        return EmpiricalJoint.make(
-            (self(v), y, m) for v, y, m in joint.atoms
-        )
+        return joint.with_values(self._at(joint.level_sets().vals))
 
     def l1_shift(self, joint: EmpiricalJoint) -> float:
         """E|v - q_B(v)| under the joint: the movement to calibration."""
-        return sum(m * abs(v - self(v)) for v, _, m in joint.atoms)
+        ls = joint.level_sets()
+        d = np.abs(ls.vals - self._at(ls.vals))
+        return atom_sum(ls.m0 * d, ls.m1 * d)
+
+    def _at(self, vs: np.ndarray) -> np.ndarray:
+        """q_B(v) for each of an array of values in [0, 1]."""
+        return np.asarray(self.values)[self.partition.indices(vs)]
 
 
 def canonical_predictor(
@@ -264,19 +268,3 @@ def dce_upper_oracle(
 def dce_from_instance(instance: FiniteInstance, cap: int = DEFAULT_ORACLE_CAP):
     """Convenience bundle: (dce, dce_upper) for an instance."""
     return dce_oracle(instance, cap), dce_upper_oracle(project(instance), cap)
-
-
-__all__ = [
-    "IntervalPartition",
-    "CanonicalPredictor",
-    "OracleSizeError",
-    "ce_partition",
-    "intce_partition",
-    "canonical_predictor",
-    "intce_opt",
-    "random_grid_intce",
-    "restricted_growth_strings",
-    "dce_oracle",
-    "dce_upper_oracle",
-    "dce_from_instance",
-]

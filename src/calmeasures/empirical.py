@@ -13,7 +13,7 @@ import json
 import math
 import warnings
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from operator import itemgetter
@@ -24,22 +24,33 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class LevelSets(Mapping):
-    """The level sets of a joint as sorted float64 columns.
+    """The level sets of a joint as sorted float64 columns: the whole joint.
 
-    Per distinct prediction ``vals[i]``: the level set's ``mass[i]``, its
-    mean label ``mean[i]`` and its residual mass ``residual[i]``, the sum
-    of m (y - v) over its atoms.  The columns are read-only.  As a Mapping
-    it sends each v, in increasing order, to (mass, mean).
+    Per distinct prediction ``vals[i]``: the masses ``m0[i]``, ``m1[i]`` of
+    its atoms with label 0 and 1 (0.0 if absent), and the level set's
+    ``mass`` m0 + m1, ``mean`` label m1 / mass and ``residual`` m1 (1 - v) -
+    m0 v.  The columns are read-only, and equal when vals, m0 and m1 are.
+    As a Mapping it sends each v, in increasing order, to (mass, mean).
     """
 
     vals: np.ndarray
+    m0: np.ndarray
+    m1: np.ndarray
     mass: np.ndarray
     mean: np.ndarray
     residual: np.ndarray
 
     def __post_init__(self):
-        for col in (self.vals, self.mass, self.mean, self.residual):
+        for col in vars(self).values():
             col.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LevelSets) and all(map(
+            np.array_equal, (self.vals, self.m0, self.m1),
+            (other.vals, other.m0, other.m1)))
+
+    def __hash__(self) -> int:  # masses are never -0.0 or NaN
+        return hash((self.m0.tobytes(), self.m1.tobytes()))
 
     def __getitem__(self, v: float) -> tuple[float, float]:
         i = int(np.searchsorted(self.vals, v))
@@ -54,19 +65,33 @@ class LevelSets(Mapping):
         return len(self.vals)
 
 
+def atom_sum(first: np.ndarray, second: np.ndarray) -> float:
+    """first[0] + second[0] + first[1] + ... from the left, the order of the
+    atoms (v, 0), (v, 1); an absent atom's +-0.0 leaves the sum unchanged."""
+    return sum(np.column_stack((first, second)).ravel().tolist())
+
+
+def _label_rows(v: np.ndarray, labels: tuple, masses: tuple) -> np.ndarray:
+    """Atom rows (v[i], labels[j], masses[j][i]), ordered by i, then j."""
+    rows = np.empty((len(v), len(labels), 3))
+    rows[..., 0], rows[..., 1] = v[:, None], labels
+    rows[..., 2] = np.column_stack(masses)
+    return rows.reshape(-1, 3)
+
+
 @dataclass(frozen=True)
 class EmpiricalJoint:
-    """Finitely supported distribution over (prediction, label) pairs.
+    """Finitely supported distribution over (prediction, label) pairs,
+    stored as its level-set columns only.
 
-    Atoms are kept in canonical form: sorted by (v, y), exact-equal (v, y)
-    merged, masses normalized to sum to 1.  Values differing in the last
-    float bit are deliberately NOT merged; measures must tolerate
-    near-duplicate prediction values.  :meth:`make` is the one place that
-    groups atoms by prediction value; measures read its level-set columns.
+    Canonical form: exact-equal (v, y) merged, masses normalized to sum to
+    1.  Values differing in the last float bit are deliberately NOT
+    merged; measures must tolerate near-duplicate prediction values.
+    :meth:`make` is the one place that groups atoms by prediction value;
+    measures read its columns through :meth:`level_sets`.
     """
 
-    atoms: tuple[tuple[float, int, float], ...]
-    _levels: LevelSets = field(compare=False, repr=False)
+    _levels: LevelSets
 
     @staticmethod
     def make(atoms: Iterable[tuple[float, int, float]]) -> "EmpiricalJoint":
@@ -99,23 +124,26 @@ class EmpiricalJoint:
         total = sum(merged[np.argsort(order[first])].tolist())
         if total == math.inf:
             raise ValueError("total mass overflows")
-        v, y, m = v[first], y[first].astype(np.int64), merged / total
         starts = vnew[first]
         level = starts.cumsum() - 1
-        mass = np.bincount(level, weights=m)
-        levels = LevelSets(
-            v[starts],
-            mass,
-            np.bincount(level, weights=m * y) / mass,
-            np.bincount(level, weights=m * (y - v)),
-        )
-        return EmpiricalJoint(
-            tuple(zip(v.tolist(), y.tolist(), m.tolist())), levels
-        )
+        masses = np.zeros((2, level[-1] + 1))
+        masses[y[first].astype(np.intp), level] = merged / total
+        (m0, m1), vals = masses, v[first][starts]
+        mass = m0 + m1
+        return EmpiricalJoint(LevelSets(
+            vals, m0, m1, mass, m1 / mass, m1 * (1.0 - vals) - m0 * vals
+        ))
+
+    @property
+    def atoms(self) -> tuple[tuple[float, int, float], ...]:
+        """The canonical (v, y, m) atoms in (v, y) order, rebuilt on access."""
+        ls = self._levels
+        rows = _label_rows(ls.vals, (0, 1), (ls.m0, ls.m1)).tolist()
+        return tuple((v, int(y), m) for v, y, m in rows if m > 0.0)
 
     @property
     def total_mass(self) -> float:
-        return sum(m for _, _, m in self.atoms)
+        return atom_sum(self._levels.m0, self._levels.m1)
 
     def distinct_values(self) -> list[float]:
         return self.level_sets().vals.tolist()
@@ -125,18 +153,24 @@ class EmpiricalJoint:
         with the columns built by :meth:`make`."""
         return self._levels
 
+    def with_values(self, values: np.ndarray) -> "EmpiricalJoint":
+        """The joint with level i's atoms moved to values[i], re-merged."""
+        ls = self._levels
+        return EmpiricalJoint.make(_label_rows(values, (0, 1), (ls.m0, ls.m1)))
+
 
 @dataclass(frozen=True)
 class RecalibrationMap:
-    """Conditional label mean per distinct prediction value of a joint."""
+    """Conditional label mean per distinct prediction value of a joint,
+    looked up in its level-set columns by binary search."""
 
-    entries: tuple[tuple[float, float], ...]
+    levels: LevelSets
 
     def __call__(self, v: float) -> float:
-        return self.as_dict()[v]
+        return self.levels[v][1]
 
     def as_dict(self) -> dict[float, float]:
-        return dict(self.entries)
+        return dict(zip(self.levels.vals.tolist(), self.levels.mean.tolist()))
 
 
 @dataclass(frozen=True)
@@ -208,18 +242,12 @@ def from_samples(
 
 def recalibrate(joint: EmpiricalJoint) -> RecalibrationMap:
     """Map each distinct prediction value v to E[y | v] under the joint."""
-    levels = joint.level_sets()
-    return RecalibrationMap(
-        tuple(zip(levels.vals.tolist(), levels.mean.tolist()))
-    )
+    return RecalibrationMap(joint.level_sets())
 
 
 def recalibrated_joint(joint: EmpiricalJoint) -> EmpiricalJoint:
     """Replace each atom's prediction by its recalibrated value and re-merge."""
-    phat = recalibrate(joint).as_dict()
-    return EmpiricalJoint.make(
-        (phat[v], y, m) for v, y, m in joint.atoms
-    )
+    return joint.with_values(joint.level_sets().mean)
 
 
 def project(instance: FiniteInstance) -> EmpiricalJoint:
@@ -228,11 +256,10 @@ def project(instance: FiniteInstance) -> EmpiricalJoint:
     Each point's mass splits cond_mean : (1 - cond_mean) between labels 1
     and 0 at its predicted value.
     """
-    atoms = []
-    for _, mass, pred, cond_mean in instance.points:
-        atoms.append((pred, 1, mass * cond_mean))
-        atoms.append((pred, 0, mass * (1.0 - cond_mean)))
-    return EmpiricalJoint.make(atoms)
+    _, mass, pred, cond = map(np.array, zip(*instance.points))
+    return EmpiricalJoint.make(
+        _label_rows(pred, (1, 0), (mass * cond, mass * (1.0 - cond)))
+    )
 
 
 # ---------------------------------------------------------------------------
