@@ -1,4 +1,4 @@
-"""Run `report` on large CSV and JSONL files.
+"""Run `report` on large CSV and JSONL files, and one long `online` episode.
 
 Usage: python scripts/scale_smoke.py
 
@@ -8,9 +8,11 @@ Beta(2, 3) scores, all with Bernoulli labels, and runs them through
 calmeasures.cli.  The 2-decimal files get the default report with
 --verify-relations, which must pass every check.  The distinct-score file
 gets DISTINCT_MEASURES, the measures that are near-linear in the number of
-distinct predictions, and must report tv equal to ece.  Prints the wall
-time of each run and exits 1 if any run fails.  The times are printed, not
-gated.
+distinct predictions, and must report tv equal to ece.  Then ONLINE_ARGS
+plays ROUNDS rounds with prefix curves, each of which must have ROUNDS
+points and end at its sequence measure within 1e-9 * ROUNDS.  Prints the
+wall time of each run and exits 1 if any run fails.  The times are printed,
+not gated.
 """
 
 import json
@@ -28,6 +30,9 @@ from calmeasures.cli import main as calmeasure
 ROWS = 10**6
 SEED = 0
 DISTINCT_MEASURES = "ece,ece2,tv,binned:10,lowdeg:3"
+ROUNDS = 20000
+ONLINE_ARGS = ["--forecaster", "grid_random:20", "--adversary",
+               "bernoulli:0.3", "--measures", "ece,cdl"]
 
 
 def write_rows(path: Path, p: np.ndarray, y: np.ndarray) -> None:
@@ -56,6 +61,11 @@ def write_inputs(work: Path) -> list[tuple[Path, list[str]]]:
 
 
 def passed(report: dict) -> bool:
+    if "prefix_curves" in report:
+        ends = report["sequence_measures"]
+        return all(len(curve) == ROUNDS
+                   and abs(curve[-1] - ends[m]) <= 1e-9 * ROUNDS
+                   for m, curve in report["prefix_curves"].items())
     if "relation_checks" in report:
         return all(report["relation_checks"].values())
     values = report["measures"]
@@ -63,25 +73,31 @@ def passed(report: dict) -> bool:
             and abs(values["tv"] - values["ece"]) <= 1e-9)
 
 
-def run(path: Path, options: list[str]) -> bool:
-    out = path.with_suffix(".out.json")
+def run(name: str, argv: list[str], out: Path) -> bool:
     start = time.perf_counter()
     try:
-        code = calmeasure(["report", str(path), *options, "-o", str(out)])
+        code = calmeasure([*argv, "-o", str(out)])
     except Exception:  # report every failure, then exit 1
-        print(f"{path.name}: failed")
+        print(f"{name}: failed")
         traceback.print_exc()
         return False
     seconds = time.perf_counter() - start
     ok = code == 0 and passed(json.loads(out.read_text()))
-    print(f"{path.name}: exit {code}, {seconds:.2f} s")
+    print(f"{name}: exit {code}, {seconds:.2f} s")
     return ok
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         runs = write_inputs(Path(tmp))
-        ok = all([run(path, options) for path, options in runs])
+        ok = all([
+            run(path.name, ["report", str(path), *options],
+                path.with_suffix(".out.json"))
+            for path, options in runs
+        ])
+        ok &= run(f"online -T {ROUNDS}",
+                  ["online", "-T", str(ROUNDS), *ONLINE_ARGS],
+                  Path(tmp) / "online.out.json")
     if not ok:
         print("FAILED")
         return 1

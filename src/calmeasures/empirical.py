@@ -128,8 +128,21 @@ class EmpiricalJoint:
         level = starts.cumsum() - 1
         masses = np.zeros((2, level[-1] + 1))
         masses[y[first].astype(np.intp), level] = merged / total
-        (m0, m1), vals = masses, v[first][starts]
+        return EmpiricalJoint.from_columns(v[first][starts], *masses)
+
+    @staticmethod
+    def from_columns(
+        vals: np.ndarray, m0: np.ndarray, m1: np.ndarray
+    ) -> "EmpiricalJoint":
+        """The joint whose level i is prediction vals[i] with label masses
+        m0[i] and m1[i], taken as given: vals strictly increasing, masses
+        normalized.  The one place that derives mass, mean and residual.
+        Levels of mass 0.0 are dropped: a level of a prefix without rounds
+        left, or one whose normalized mass underflowed."""
         mass = m0 + m1
+        if not mass.all():
+            keep = mass > 0.0
+            vals, m0, m1, mass = vals[keep], m0[keep], m1[keep], mass[keep]
         return EmpiricalJoint(LevelSets(
             vals, m0, m1, mass, m1 / mass, m1 * (1.0 - vals) - m0 * vals
         ))

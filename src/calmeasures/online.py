@@ -73,16 +73,28 @@ class ConstantForecaster(Forecaster):
 
 
 class RunningMeanForecaster(Forecaster):
-    """Laplace-smoothed running label mean: (a + sum y) / (a + b + t - 1)."""
+    """Laplace-smoothed running label mean: (a + sum y) / (a + b + t - 1).
+
+    The sum is kept across calls for the last ``ys`` list seen and extended
+    by the labels appended since, as ``run`` appends them; another list, or
+    a shorter one, is summed again.  Adding left to right either way, it
+    equals ``sum(ys)``."""
 
     def __init__(self, a: float = 1.0, b: float = 1.0):
         if a < 0.0 or b < 0.0 or a + b <= 0.0:
             raise ValueError("prior pseudocounts must be nonnegative, a+b > 0")
         self.a = a
         self.b = b
+        self._ys: list[int] = []
+        self._n = 0
+        self._sum = 0
 
     def predict(self, ps, ys, rng):
-        return (self.a + sum(ys)) / (self.a + self.b + len(ys))
+        if ys is not self._ys or len(ys) < self._n:
+            self._ys, self._n, self._sum = ys, 0, 0
+        self._sum = sum(ys[self._n:], self._sum)
+        self._n = len(ys)
+        return (self.a + self._sum) / (self.a + self.b + len(ys))
 
 
 class GridRandomForecaster(Forecaster):
@@ -195,12 +207,31 @@ def sequence_measure(transcript: Transcript, measure: str) -> float:
 
 
 def prefix_curve(transcript: Transcript, measure: str) -> list[float]:
-    """Sequence measure of every prefix, for regret plots."""
+    """Sequence measure of every prefix, for regret plots.
+
+    The transcript is aggregated once, into per-label counts of its k
+    distinct predictions.  Each prefix's joint is built from the counts
+    over its length t, levels of count 0 dropped, and then its last round
+    is counted out, so a curve costs O(T k) outside the measure.  The joints
+    are the ones ``from_samples`` builds from the prefixes, bit for bit:
+    merged unit masses are exact integer counts, and their total is t.
+    """
     f = resolve(measure)
-    rounds = transcript.rounds
+    p, y = np.array(transcript.rounds, dtype=float).T
+    y = y.astype(np.intp)
+    distinct, level = np.unique(p, return_inverse=True)
+    k = len(distinct)
+    key = y * k + level
+    counts = np.bincount(key, minlength=2 * k).reshape(2, k)
+    # make represents a level by its first round with the lowest label the
+    # level has; only 0.0 and -0.0 share a level with two bit patterns
+    pairs, first = np.unique(key, return_index=True)
+    rep = np.zeros((2, k))
+    rep.flat[pairs] = p[first]
+    curve = []
     # longest prefix first, so a size cap fails before the shorter ones run
-    curve = [
-        t * f(from_samples(list(rounds[:t])))
-        for t in range(len(rounds), 0, -1)
-    ]
+    for t in range(len(p), 0, -1):
+        vals = np.where(counts[0] > 0, rep[0], rep[1])
+        curve.append(t * f(EmpiricalJoint.from_columns(vals, *(counts / t))))
+        counts[y[t - 1], level[t - 1]] -= 1
     return curve[::-1]

@@ -2,6 +2,8 @@
 against plain-Python aggregation at k = 10^2 and 10^3 distinct predictions,
 near-duplicates included, and the relation chain at those sizes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -110,3 +112,15 @@ def test_relation_chain_at_scale(k):
         assert e1**2 <= e2**2 + 1e-9
         assert e2**2 <= c + 1e-9
         assert c <= 2.0 * e1 + 1e-9
+
+
+def test_level_whose_mass_underflows_is_dropped():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j = EmpiricalJoint.make([(0.3, 1, 5e-324), (0.5, 0, 1e300)])
+        ls = j.level_sets()
+        assert ls.vals.tolist() == [0.5]
+        assert ls.mass.tolist() == [1.0] and ls.mean.tolist() == [0.0]
+        assert ece(j) == 0.5
+    assert j.atoms == ((0.5, 0, 1.0),)
+    assert j == EmpiricalJoint.make([(0.5, 0, 2.0)])
