@@ -6,9 +6,10 @@ Writes, to a temporary directory, a CSV and a JSONL file of ROWS Beta(2, 3)
 scores rounded to 2 decimals, and a CSV of ROWS distinct full-precision
 Beta(2, 3) scores, all with Bernoulli labels, and runs them through
 calmeasures.cli.  The 2-decimal files get the default report with
---verify-relations, which must pass every check.  The distinct-score file
-gets DISTINCT_MEASURES, the measures that are near-linear in the number of
-distinct predictions, and must report tv equal to ece.  Then ONLINE_ARGS
+--verify-relations.  The distinct-score file gets DISTINCT_MEASURES, the
+measures that are near-linear in the number of distinct predictions, with
+--verify-relations too, and must report finite values and tv equal to ece.
+Every run with --verify-relations must pass every check.  Then ONLINE_ARGS
 plays ROUNDS rounds with prefix curves, each of which must have ROUNDS
 points and end at its sequence measure within 1e-9 * ROUNDS.  Prints the
 wall time of each run and exits 1 if any run fails.  The times are printed,
@@ -29,7 +30,7 @@ from calmeasures.cli import main as calmeasure
 
 ROWS = 10**6
 SEED = 0
-DISTINCT_MEASURES = "ece,ece2,tv,binned:10,lowdeg:3"
+DISTINCT_MEASURES = "ece,ece2,tv,binned:10,lowdeg:3,cdl"
 ROUNDS = 20000
 ONLINE_ARGS = ["--forecaster", "grid_random:20", "--adversary",
                "bernoulli:0.3", "--measures", "ece,cdl"]
@@ -56,7 +57,8 @@ def write_inputs(work: Path) -> list[tuple[Path, list[str]]]:
     p = rng.beta(2.0, 3.0, ROWS)
     y = (rng.random(ROWS) < p).astype(np.int64)
     write_rows(work / "distinct.csv", p, y)
-    runs.append((work / "distinct.csv", ["--measures", DISTINCT_MEASURES]))
+    runs.append((work / "distinct.csv",
+                 ["--measures", DISTINCT_MEASURES, "--verify-relations"]))
     return runs
 
 
@@ -66,9 +68,11 @@ def passed(report: dict) -> bool:
         return all(len(curve) == ROUNDS
                    and abs(curve[-1] - ends[m]) <= 1e-9 * ROUNDS
                    for m, curve in report["prefix_curves"].items())
-    if "relation_checks" in report:
-        return all(report["relation_checks"].values())
+    if not all(report.get("relation_checks", {}).values()):
+        return False
     values = report["measures"]
+    if "tv" not in values:
+        return True
     return (all(map(math.isfinite, values.values()))
             and abs(values["tv"] - values["ece"]) <= 1e-9)
 

@@ -89,6 +89,7 @@ from .online import (
     Transcript,
     baseline_forecasters,
     prefix_curve,
+    prefix_curves,
     run,
     sequence_measure,
 )

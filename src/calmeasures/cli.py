@@ -8,7 +8,7 @@ with 17 significant digits so regression diffs are exact.
 
 Exit codes: 0 ok, 1 relation chain violated (report --verify-relations),
 2 malformed input or argument, 3 unknown or inapplicable measure, 4 oracle
-size cap exceeded.
+size cap exceeded, 5 a measure ran out of memory.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .online import (
     RunningMeanForecaster,
     ThresholdAdversary,
     Transcript,
-    prefix_curve,
+    prefix_curves,
     run,
     sequence_measure,
 )
@@ -58,6 +58,7 @@ from .online import (
 EXIT_BAD_INPUT = 2
 EXIT_BAD_MEASURE = 3
 EXIT_ORACLE_CAP = 4
+EXIT_OUT_OF_MEMORY = 5
 
 
 class CliError(Exception):
@@ -148,15 +149,35 @@ def input_digest(path: str) -> str:
 @contextmanager
 def measure_errors(spec: str):
     """Map the failure of resolving or computing a measure to its exit
-    code: unknown or inapplicable id 3, oracle cap 4, malformed argument 2."""
+    code: unknown or inapplicable id 3, oracle cap 4, malformed argument 2,
+    out of memory 5."""
     try:
         yield
     except OracleSizeError as exc:
         raise CliError(str(exc), EXIT_ORACLE_CAP)
+    except MemoryError as exc:
+        raise CliError(f"measure {spec!r} ran out of memory: "
+                       f"{str(exc) or 'MemoryError'}", EXIT_OUT_OF_MEMORY)
     except MeasureError as exc:
         raise CliError(str(exc), EXIT_BAD_MEASURE)
     except (OSError, ValueError) as exc:
         raise CliError(f"measure {spec!r}: {exc}", EXIT_BAD_INPUT)
+
+
+def resolve_guarded(specs: list[str]) -> dict:
+    """Each spec resolved, in order, to a measure whose failures map to
+    that spec's exit code wherever it is called."""
+    guarded = {}
+    for spec in specs:
+        with measure_errors(spec):
+            f = resolve(spec)
+
+        def measure(joint, spec=spec, f=f):
+            with measure_errors(spec):
+                return f(joint)
+
+        guarded[spec] = measure
+    return guarded
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +295,16 @@ def cmd_online(args) -> None:
         transcript = run(forecaster, adversary, args.rounds, args.seed)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_BAD_INPUT)
-    measures = {}
-    curves = {}
-    for m in [s.strip() for s in args.measures.split(",") if s.strip()]:
-        with measure_errors(m):
-            measures[m] = sequence_measure(transcript, m)
-            if args.curves:
-                curves[m] = prefix_curve(transcript, m)
+    specs = [s.strip() for s in args.measures.split(",") if s.strip()]
+    if args.curves:
+        # the last point of a curve is the sequence measure, bit for bit
+        curves = prefix_curves(transcript, resolve_guarded(specs))
+        measures = {m: curve[-1] for m, curve in curves.items()}
+    else:
+        curves, measures = {}, {}
+        for m in specs:
+            with measure_errors(m):
+                measures[m] = sequence_measure(transcript, m)
     obj = {
         "schema": 1,
         "rounds": [[p, y] for p, y in transcript.rounds],
@@ -360,10 +384,7 @@ def cmd_plotdata(args) -> None:
                 tuple((float(p), parse_label(y)) for p, y in data["rounds"])
             )
         measures = [m.strip() for m in args.measures.split(",") if m.strip()]
-        curves = {}
-        for m in measures:
-            with measure_errors(m):
-                curves[m] = prefix_curve(transcript, m)
+        curves = prefix_curves(transcript, resolve_guarded(measures))
         lines.append("t,p,y," + ",".join(f"prefix_{m}" for m in measures))
         for t, (p, y) in enumerate(transcript.rounds, start=1):
             vals = ",".join(f"{curves[m][t - 1]:.17g}" for m in measures)

@@ -315,26 +315,44 @@ def v_divergence(vstar: float, v1: float, v2: float) -> float:
 
 def cdl(joint: EmpiricalJoint) -> float:
     """sup over vstar of the mass-weighted V-shaped divergence between
-    recalibrated values and predictions.
+    recalibrated values and predictions, by one sort and one sweep.
 
-    The objective is piecewise linear in vstar with breakpoints at the
-    predictions and their recalibrated values; the half-open membership
-    interval makes the sup attainable only as a one-sided limit, so the
-    scan evaluates the value and both one-sided limits analytically at
-    every breakpoint.
+    Level i (prediction v, mass m, recalibrated value mean) adds
+    2 m |mean - b| at vstar = b when b lies in its membership interval
+    (lo, hi] = (min(mean, v), max(mean, v)], and nothing elsewhere.  On the
+    interval the term is linear in b, with slope -2m when mean is the upper
+    end and 2m when it is the lower one; a level with mean == v adds
+    nothing and is left out.  The objective is therefore piecewise linear
+    with breakpoints at the 2k interval ends, and left-continuous, since
+    the intervals are closed on the right.  On each piece it is linear, so
+    its sup is the value or the right limit at some end.
+
+    The ends are sorted once.  A cumulative sum of slopes (added at lo,
+    taken away at hi) gives the slope of every piece, and a second one
+    adds, end by end, each level's term as it enters (at lo) or leaves (at
+    hi) and each piece's slope times its length.  Its entries are the
+    value at each end, reached before the end's own entries and leavings,
+    and the right limit, reached after them.  At a shared end the leavings
+    (terms <= 0) come before the entries (terms >= 0), so the partial
+    sums in between lie below one of the two, and the largest entry,
+    clipped below at 0.0, is the sup.  The sums stay on the scale of the
+    objective, so the result keeps its relative accuracy on nearly
+    calibrated joints, where a sum of per-level intercepts 2 m mean would
+    cancel.  O(k log k) time and O(k) memory in the number k of levels.
     """
     ls = joint.level_sets()
-    v2, mass, v1 = ls.vals, ls.mass, ls.mean  # predictions, recalibrated
-    lo = np.minimum(v1, v2)
-    hi = np.maximum(v1, v2)
-
-    bps = np.unique(np.concatenate([v1, v2, [0.0, 1.0]]))
-    b = bps[:, None]
-    term = 2.0 * mass[None, :] * np.abs(v1[None, :] - b)
-    # the interval is right-closed: the value at b is its left limit too
-    member_exact = (lo[None, :] < b) & (b <= hi[None, :])
-    member_right = (lo[None, :] <= b) & (b < hi[None, :])
-    best = 0.0
-    for member in (member_exact, member_right):
-        best = max(best, float((term * member).sum(axis=1).max()))
-    return best
+    moved = ls.mean != ls.vals
+    v, mean = ls.vals[moved], ls.mean[moved]
+    up = mean > v
+    slope = np.where(up, -2.0, 2.0) * ls.mass[moved]
+    term = slope * (v - mean)  # 2m |mean - v|, at the end away from mean
+    # leavings first: the stable sort keeps them before entries at a tie
+    ends = np.concatenate((np.maximum(mean, v), np.minimum(mean, v)))
+    order = ends.argsort(kind="stable")
+    ends = ends[order]
+    slopes = np.concatenate((-slope, slope))[order].cumsum()
+    steps = np.empty(max(2 * len(ends) - 1, 0))
+    steps[0::2] = np.concatenate(
+        (np.where(up, 0.0, -term), np.where(up, term, 0.0)))[order]
+    steps[1::2] = slopes[:-1] * (ends[1:] - ends[:-1])
+    return float(steps.cumsum().max(initial=0.0))

@@ -85,8 +85,9 @@ class EmpiricalJoint:
     stored as its level-set columns only.
 
     Canonical form: exact-equal (v, y) merged, masses normalized to sum to
-    1.  Values differing in the last float bit are deliberately NOT
-    merged; measures must tolerate near-duplicate prediction values.
+    1, and a level of -0.0 stored as 0.0.  Values differing in the last
+    float bit are deliberately NOT merged; measures must tolerate
+    near-duplicate prediction values.
     :meth:`make` is the one place that groups atoms by prediction value;
     measures read its columns through :meth:`level_sets`.
     """
@@ -128,7 +129,8 @@ class EmpiricalJoint:
         level = starts.cumsum() - 1
         masses = np.zeros((2, level[-1] + 1))
         masses[y[first].astype(np.intp), level] = merged / total
-        return EmpiricalJoint.from_columns(v[first][starts], *masses)
+        # + 0.0 stores a level of 0.0 and -0.0 as 0.0, whatever came first
+        return EmpiricalJoint.from_columns(v[first][starts] + 0.0, *masses)
 
     @staticmethod
     def from_columns(

@@ -14,6 +14,7 @@ adversary access to realized randomness.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,31 +208,37 @@ def sequence_measure(transcript: Transcript, measure: str) -> float:
 
 
 def prefix_curve(transcript: Transcript, measure: str) -> list[float]:
-    """Sequence measure of every prefix, for regret plots.
+    """Sequence measure of every prefix, for regret plots; see
+    :func:`prefix_curves`."""
+    return prefix_curves(transcript, {measure: resolve(measure)})[measure]
+
+
+def prefix_curves(
+    transcript: Transcript,
+    measures: Mapping[str, Callable[[EmpiricalJoint], float]],
+) -> dict[str, list[float]]:
+    """Sequence measure of every prefix under each ``spec: f`` of
+    ``measures``, from one walk over the prefixes.
 
     The transcript is aggregated once, into per-label counts of its k
-    distinct predictions.  Each prefix's joint is built from the counts
-    over its length t, levels of count 0 dropped, and then its last round
-    is counted out, so a curve costs O(T k) outside the measure.  The joints
-    are the ones ``from_samples`` builds from the prefixes, bit for bit:
-    merged unit masses are exact integer counts, and their total is t.
+    distinct predictions.  Each prefix's joint is built once from the counts
+    over its length t, levels of count 0 dropped, every f runs on it in
+    order, and then its last round is counted out, so the curves cost
+    O(T k) outside the measures.  The walk starts at the longest prefix,
+    so a measure that fails on a size cap fails at its first call.  The
+    joints are the ones ``from_samples`` builds from the prefixes, bit for
+    bit: merged unit masses are exact integer counts, and their total is t.
     """
-    f = resolve(measure)
     p, y = np.array(transcript.rounds, dtype=float).T
     y = y.astype(np.intp)
     distinct, level = np.unique(p, return_inverse=True)
+    distinct += 0.0  # make's value for a level of 0.0 and -0.0
     k = len(distinct)
-    key = y * k + level
-    counts = np.bincount(key, minlength=2 * k).reshape(2, k)
-    # make represents a level by its first round with the lowest label the
-    # level has; only 0.0 and -0.0 share a level with two bit patterns
-    pairs, first = np.unique(key, return_index=True)
-    rep = np.zeros((2, k))
-    rep.flat[pairs] = p[first]
-    curve = []
-    # longest prefix first, so a size cap fails before the shorter ones run
+    counts = np.bincount(y * k + level, minlength=2 * k).reshape(2, k)
+    curves = {spec: [] for spec in measures}
     for t in range(len(p), 0, -1):
-        vals = np.where(counts[0] > 0, rep[0], rep[1])
-        curve.append(t * f(EmpiricalJoint.from_columns(vals, *(counts / t))))
+        joint = EmpiricalJoint.from_columns(distinct, *(counts / t))
+        for spec, f in measures.items():
+            curves[spec].append(t * f(joint))
         counts[y[t - 1], level[t - 1]] -= 1
-    return curve[::-1]
+    return {spec: curve[::-1] for spec, curve in curves.items()}
