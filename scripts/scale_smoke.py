@@ -9,6 +9,9 @@ calmeasures.cli.  The 2-decimal files get the default report with
 --verify-relations.  The distinct-score file gets DISTINCT_MEASURES, the
 measures that are near-linear in the number of distinct predictions, with
 --verify-relations too, and must report finite values and tv equal to ece.
+A CSV of CHAIN_ROWS distinct Beta(2, 3) scores gets CHAIN_MEASURES, the
+chain-DP measures smce and emd and the grid DP intce, and must report
+finite values with emd/2 <= smce <= emd within 1e-9.
 Every run with --verify-relations must pass every check.  Then ONLINE_ARGS
 plays ROUNDS rounds with prefix curves, each of which must have ROUNDS
 points and end at its sequence measure within 1e-9 * ROUNDS.  Prints the
@@ -31,6 +34,8 @@ from calmeasures.cli import main as calmeasure
 ROWS = 10**6
 SEED = 0
 DISTINCT_MEASURES = "ece,ece2,tv,binned:10,lowdeg:3,cdl"
+CHAIN_ROWS = 10**5
+CHAIN_MEASURES = "smce,emd,intce"
 ROUNDS = 20000
 ONLINE_ARGS = ["--forecaster", "grid_random:20", "--adversary",
                "bernoulli:0.3", "--measures", "ece,cdl"]
@@ -59,6 +64,10 @@ def write_inputs(work: Path) -> list[tuple[Path, list[str]]]:
     write_rows(work / "distinct.csv", p, y)
     runs.append((work / "distinct.csv",
                  ["--measures", DISTINCT_MEASURES, "--verify-relations"]))
+    p = rng.beta(2.0, 3.0, CHAIN_ROWS)
+    y = (rng.random(CHAIN_ROWS) < p).astype(np.int64)
+    write_rows(work / "chain.csv", p, y)
+    runs.append((work / "chain.csv", ["--measures", CHAIN_MEASURES]))
     return runs
 
 
@@ -71,10 +80,12 @@ def passed(report: dict) -> bool:
     if not all(report.get("relation_checks", {}).values()):
         return False
     values = report["measures"]
-    if "tv" not in values:
-        return True
-    return (all(map(math.isfinite, values.values()))
-            and abs(values["tv"] - values["ece"]) <= 1e-9)
+    if not all(map(math.isfinite, values.values())):
+        return False
+    if "tv" in values and abs(values["tv"] - values["ece"]) > 1e-9:
+        return False
+    emd = values.get("emd")
+    return emd is None or emd / 2.0 - 1e-9 <= values["smce"] <= emd + 1e-9
 
 
 def run(name: str, argv: list[str], out: Path) -> bool:

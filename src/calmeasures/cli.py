@@ -204,9 +204,10 @@ def cmd_report(args) -> None:
     obj = {"schema": 1, "measures": measures, "meta": meta}
     if args.verify_relations:
         # reuse the values already reported; compute only the missing ones
+        chain = ("ece", "ece2", "cdl")
+        missing = resolve_guarded([m for m in chain if m not in measures])
         e1, e2, c = (
-            measures[m] if m in measures else resolve(m)(joint)
-            for m in ("ece", "ece2", "cdl")
+            measures[m] if m in measures else missing[m](joint) for m in chain
         )
         checks = {
             "ece_sq_le_ece2_sq": e1**2 <= e2**2 + 1e-9,

@@ -131,7 +131,8 @@ def canonical_predictor(
 
 def intce_opt(joint: EmpiricalJoint, g: int = 1000) -> float:
     """Min over partitions with breakpoints on the uniform g-grid of
-    (CE + width), via a DP over value groups run for every width cap.
+    (CE + width), via a DP over groups of grid cells run for every width
+    cap; time and memory follow the number of occupied cells, at most g.
 
     The reported value overestimates the unrestricted optimum by at most
     2/g: any partition's groups fit grid-aligned intervals after widening
@@ -140,26 +141,25 @@ def intce_opt(joint: EmpiricalJoint, g: int = 1000) -> float:
     if g < 2:
         raise ValueError("grid resolution must be >= 2")
     vals, rs = residuals(joint)
-    m = len(vals)
-    cells = np.minimum((vals * g).astype(np.int64), g - 1)
-    sep = cells[:-1] < cells[1:]
-    if not sep.all():
+    # values in one grid cell always share a group: merge them into one row
+    cells, row = np.unique(np.minimum((vals * g).astype(np.int64), g - 1),
+                           return_inverse=True)
+    if len(cells) < len(vals):
         warnings.warn(
             f"grid g={g} too coarse to separate some prediction values; "
             "they are forced into shared intervals"
         )
-    prefix = np.concatenate([[0.0], np.cumsum(rs)])
-    # group i..j needs a grid interval of width req[i, j] and costs
-    # cost[i, j]; it can start and end only where the grid separates values
+    m = len(cells)
+    prefix = np.concatenate([[0.0], np.cumsum(np.bincount(row, rs))])
+    # group i..j needs a grid interval of width req[i, j] and costs cost[i, j]
     req = (cells[None, :] - cells[:, None] + 1) / g
     cost = np.abs(prefix[None, 1:] - prefix[:-1, None])
-    can_start = np.concatenate([[True], sep])
     caps = np.unique(req[np.triu_indices(m)])
-    # dp[c, j]: least CE of the first j values under width cap caps[c]
+    # dp[c, j]: least CE of the first j cells under width cap caps[c]
     dp = np.full((len(caps), m + 1), np.inf)
     dp[:, 0] = 0.0
-    for j in np.flatnonzero(np.concatenate([sep, [True]])):
-        fits = can_start[: j + 1] & (req[: j + 1, j] <= caps[:, None] + 1e-15)
+    for j in range(m):
+        fits = req[: j + 1, j] <= caps[:, None] + 1e-15
         cand = np.where(fits, dp[:, : j + 1] + cost[: j + 1, j], np.inf)
         dp[:, j + 1] = cand.min(axis=1)
     return float((dp[:, m] + caps).min())

@@ -8,9 +8,12 @@ problem is a chain LP
 
     maximize sum_j c_j w_j,  w_j in [-1,1],  |w_{j+1} - w_j| <= v_{j+1} - v_j
 
-with c_j the residual mass at value v_j.  We solve it by concave
-piecewise-linear dynamic programming (a sliding-window max per step), which
-is exact up to float rounding and independent of any LP solver tolerance.
+with c_j the residual mass at value v_j.  We solve its dual, the least cost
+of settling the residual masses along the chain, by dynamic programming on
+a convex piecewise-linear value function (the slope trick): each level adds
+one kink and cuts the slopes back to [-1, 1], which takes weight off the
+two ends of the kinks, so two heaps of kinks give O(k log k) time.  It is
+exact up to float rounding and does not depend on any LP solver tolerance.
 The earthmover distance to the Bernoulli surrogate (:func:`emd_joints`) is
 the same chain LP with the gaps doubled.  Generic LPs
 (:func:`smce_lp_oracle`, :func:`emd_lp_oracle`) serve as cross-checks.
@@ -18,6 +21,7 @@ the same chain LP with the gaps doubled.  Generic LPs
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -61,69 +65,52 @@ def weighted_ce(joint: EmpiricalJoint, w: WeightFunction) -> float:
     return abs(float(np.dot(ws, rs)))
 
 
-# ---------------------------------------------------------------------------
-# concave piecewise-linear value functions for the chain DP
-
-
-class _ConcavePL:
-    """Concave piecewise-linear function on [-1, 1], stored as breakpoints."""
-
-    __slots__ = ("xs", "ys")
-
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        self.xs = xs
-        self.ys = ys
-
-    @staticmethod
-    def linear(c: float) -> "_ConcavePL":
-        xs = np.array([-1.0, 1.0])
-        return _ConcavePL(xs, c * xs)
-
-    def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
-        return np.interp(x, self.xs, self.ys)
-
-    def add_linear(self, c: float) -> None:
-        self.ys = self.ys + c * self.xs
-
-    def max_value(self) -> float:
-        return float(self.ys.max())
-
-    def window_max(self, d: float) -> "_ConcavePL":
-        """New function w -> max over u in [w-d, w+d] (clipped to [-1,1]).
-
-        By concavity only breakpoints up to the argmax shift by -d and
-        only those from it on by +d."""
-        if d <= 0.0:
-            return _ConcavePL(self.xs.copy(), self.ys.copy())
-        i = int(np.argmax(self.ys))
-        ustar = float(self.xs[i])
-        ymax = self.max_value()
-        left, right = self.xs[: i + 1] - d, self.xs[i:] + d
-        bps = np.unique(
-            np.clip(np.concatenate([left, right, [-1.0, 1.0]]), -1.0, 1.0)
-        )
-        lo = np.clip(bps - d, -1.0, 1.0)
-        hi = np.clip(bps + d, -1.0, 1.0)
-        ys = np.maximum(self(lo), self(hi))
-        inside = (lo <= ustar) & (ustar <= hi)
-        ys = np.where(inside, ymax, ys)
-        return _ConcavePL(bps, ys)
-
-
 def _chain_dp(vals: np.ndarray, cs: np.ndarray, lipschitz: int) -> float:
-    """max sum_j c_j w_j over w_j in [-1, 1] with
-    |w_{j+1} - w_j| <= lipschitz * (v_{j+1} - v_j), via concave DP."""
-    value = _ConcavePL.linear(float(cs[0]))
-    for j in range(1, len(vals)):
-        value = value.window_max(lipschitz * float(vals[j] - vals[j - 1]))
-        value.add_linear(float(cs[j]))
+    """max sum_j c_j w_j over w_j in [-1, 1] with |w_{j+1} - w_j| <= d_j =
+    lipschitz * (v_{j+1} - v_j), solved in its dual by the slope trick.
+
+    By LP duality the optimum is the least cost of settling the residuals:
+    moving mass across gap j costs d_j per unit, and making or dropping it
+    costs 1.  With C_j the prefix sums of c and g_j the mass dropped up to
+    level j, that is the least sum_{j<=k} |g_j - g_{j-1}| + sum_{j<k} d_j
+    |C_j - g_j| over g with g_0 = 0 and g_k = C_k.  Its value function,
+    G_1 = |.| and G_{j+1} = (G_j + d_j |. - C_j|) inf-convolved with |.|,
+    is convex and piecewise linear with slopes in [-1, 1]: each level adds
+    a kink of weight 2 d_j at C_j, and the inf-convolution cuts weight d_j
+    off each end of the kinks.  Two heaps hold the kinks, lowest and
+    highest first, with shared weights.  ``value`` is G(C_k): a cut of
+    weight w at x lowers it by w (x - C_k) from the low end if x > C_k, and
+    by w (C_k - x) from the high end if x < C_k.  Each kink enters each
+    heap once and leaves it at most once, so a solve takes O(k log k) time
+    and O(k) memory.
+    """
+    prefix = np.cumsum(cs).tolist()
+    end = prefix.pop()
+    weight = [2.0]
+    low, high = [(0.0, 0)], [(0.0, 0)]  # (x, id) and (-x, id)
+    value = abs(end)
+    for x, d in zip(prefix, (lipschitz * np.diff(vals)).tolist()):
+        weight.append(2.0 * d)
+        heapq.heappush(low, (x, len(weight) - 1))
+        heapq.heappush(high, (-x, len(weight) - 1))
+        value += d * abs(x - end)
+        for heap, s in ((low, 1.0), (high, -1.0)):
+            cut = d
+            while cut > 0.0:
+                y, i = heap[0]
+                w = min(weight[i], cut)
+                weight[i] -= w
+                cut -= w
+                value -= w * max(0.0, y - s * end)
+                if weight[i] == 0.0:
+                    heapq.heappop(heap)
     # -w is feasible whenever w is, so the optimum already dominates the
-    # absolute value; it is also >= 0 because w = 0 is feasible.
-    return max(value.max_value(), 0.0)
+    # absolute value; it is >= 0, and max() drops rounding below it
+    return max(value, 0.0)
 
 
 def smce(joint: EmpiricalJoint) -> float:
-    """Smooth calibration error: exact chain-LP optimum via concave DP."""
+    """Smooth calibration error: exact chain-LP optimum via its dual DP."""
     return _chain_dp(*residuals(joint), lipschitz=1)
 
 

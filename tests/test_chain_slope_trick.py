@@ -1,0 +1,153 @@
+"""The smCE/EMD chain DP, solved in its dual by the slope trick, and
+``intce_opt`` on merged grid cells, each against the code it replaced.
+
+The references are in-test copies of that code: the concave
+piecewise-linear DP that rebuilt its breakpoint array at every level, and
+the interval DP over single prediction values.
+"""
+
+import time
+import warnings
+
+import numpy as np
+import pytest
+
+from calmeasures import ece, emd_joints, from_samples, intce_opt, smce
+from calmeasures.lipschitz import _chain_dp, residuals
+
+
+class ConcavePL:
+    """Concave piecewise-linear function on [-1, 1], stored as breakpoints."""
+
+    def __init__(self, xs, ys):
+        self.xs, self.ys = xs, ys
+
+    def __call__(self, x):
+        return np.interp(x, self.xs, self.ys)
+
+    def window_max(self, d):
+        i = int(np.argmax(self.ys))
+        ustar, ymax = float(self.xs[i]), float(self.ys.max())
+        left, right = self.xs[: i + 1] - d, self.xs[i:] + d
+        bps = np.unique(
+            np.clip(np.concatenate([left, right, [-1.0, 1.0]]), -1.0, 1.0)
+        )
+        lo = np.clip(bps - d, -1.0, 1.0)
+        hi = np.clip(bps + d, -1.0, 1.0)
+        ys = np.maximum(self(lo), self(hi))
+        inside = (lo <= ustar) & (ustar <= hi)
+        return ConcavePL(bps, np.where(inside, ymax, ys))
+
+
+def concave_pl_chain_dp(vals, cs, lipschitz):
+    xs = np.array([-1.0, 1.0])
+    value = ConcavePL(xs, float(cs[0]) * xs)
+    for j in range(1, len(vals)):
+        value = value.window_max(lipschitz * float(vals[j] - vals[j - 1]))
+        value.ys = value.ys + float(cs[j]) * value.xs
+    return max(float(value.ys.max()), 0.0)
+
+
+def per_value_intce(joint, g):
+    vals, rs = residuals(joint)
+    m = len(vals)
+    cells = np.minimum((vals * g).astype(np.int64), g - 1)
+    sep = cells[:-1] < cells[1:]
+    prefix = np.concatenate([[0.0], np.cumsum(rs)])
+    req = (cells[None, :] - cells[:, None] + 1) / g
+    cost = np.abs(prefix[None, 1:] - prefix[:-1, None])
+    can_start = np.concatenate([[True], sep])
+    caps = np.unique(req[np.triu_indices(m)])
+    dp = np.full((len(caps), m + 1), np.inf)
+    dp[:, 0] = 0.0
+    for j in np.flatnonzero(np.concatenate([sep, [True]])):
+        fits = can_start[: j + 1] & (req[: j + 1, j] <= caps[:, None] + 1e-15)
+        cand = np.where(fits, dp[:, : j + 1] + cost[: j + 1, j], np.inf)
+        dp[:, j + 1] = cand.min(axis=1)
+    return float((dp[:, m] + caps).min())
+
+
+def joint_of(p, y, w=None):
+    return from_samples(list(zip(np.asarray(p, float).tolist(),
+                                 np.asarray(y, int).tolist())),
+                        None if w is None else np.asarray(w).tolist())
+
+
+def seeded_joints(sizes, seed):
+    """Float scores with weights, their nextafter neighbours, 2-decimal
+    grids, 0 and 1 among few values, one label per level, one level."""
+    rng = np.random.default_rng(seed)
+    joints = []
+    for k in sizes:
+        p = rng.random(k)
+        joints.append(joint_of(p, rng.random(k) < p, rng.random(k) ** 3))
+        half = rng.random(max(k // 2, 1))
+        p = np.concatenate([half, np.nextafter(half, 1.0),
+                            np.nextafter(half, 0.0)])[:k]
+        joints.append(joint_of(p, rng.random(len(p)) < 0.4))
+        p = np.round(rng.random(5 * k), 2)
+        joints.append(joint_of(p, rng.random(5 * k) < p ** 2))
+        p = rng.choice([0.0, 1.0, 0.5, rng.random()], 3 * k)
+        joints.append(joint_of(p, rng.random(3 * k) < 0.5))
+        p = rng.beta(2.0, 3.0, k)
+        joints.append(joint_of(p, rng.random(k) < 0.5))
+    for p, y in [([0.0], [1]), ([1.0], [0]), ([0.3], [1]), ([0.3], [0]),
+                 ([0.0, 1.0], [1, 0]), ([0.0, 1.0], [0, 1])]:
+        joints.append(joint_of(p, y))
+    return joints
+
+
+def beta_scores(k, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.beta(2.0, 3.0, k)
+    return joint_of(p, rng.random(k) < p)
+
+
+@pytest.mark.parametrize("lipschitz, measure", [(1, smce), (2, emd_joints)])
+def test_chain_dp_matches_concave_pl_dp(lipschitz, measure):
+    for joint in seeded_joints((1, 2, 3, 8, 40, 300, 1000), seed=9):
+        ref = concave_pl_chain_dp(*residuals(joint), lipschitz)
+        assert abs(measure(joint) - ref) <= 1e-12
+
+
+def test_chain_dp_matches_on_single_residuals():
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 5, 50):
+        vals = np.sort(rng.random(k))
+        for cs in (rng.normal(size=k), np.zeros(k), -np.abs(rng.random(k))):
+            for lipschitz in (1, 2):
+                ref = concave_pl_chain_dp(vals, cs, lipschitz)
+                assert abs(_chain_dp(vals, cs, lipschitz) - ref) <= 1e-12
+
+
+def test_inequalities_at_1e5_distinct_scores():
+    joint = beta_scores(10**5, seed=5)
+    assert len(joint.level_sets()) == 10**5
+    s, e = smce(joint), emd_joints(joint)
+    assert e / 2.0 <= s + 1e-12
+    assert s <= e + 1e-12
+    assert s <= ece(joint) + 1e-12
+
+
+def test_chain_dp_time_grows_near_linearly():
+    """Best of 3 at k and 4k: about 4.6 at 1e4 -> 4e4, 16 if quadratic."""
+
+    def best(k):
+        vals, cs = residuals(beta_scores(k, seed=k))
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            _chain_dp(vals, cs, 1)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert best(4 * 10**4) / best(10**4) < 8.0
+
+
+@pytest.mark.parametrize("g", [2, 7, 1000])
+def test_intce_on_merged_cells_matches_per_value_dp(g):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for joint in seeded_joints((1, 2, 3, 8, 40, 200), seed=g):
+            ref = per_value_intce(joint, g)
+            assert abs(intce_opt(joint, g) - ref) <= 1e-12

@@ -48,3 +48,25 @@ def test_kernel_gram_matrix_over_the_limit_exits_5(tmp_path):
     assert proc.stderr.startswith("error: measure 'kernel:laplace'")
     assert proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+def test_verify_relations_measure_out_of_memory_exits_5(
+        tmp_path, monkeypatch, capsys):
+    """--verify-relations computes the cdl it needs itself; its MemoryError
+    maps to exit 5 like a requested measure's."""
+    from calmeasures import measures
+    from calmeasures.cli import main
+
+    def cdl(joint):
+        raise MemoryError("no room for cdl")
+
+    monkeypatch.setattr(measures, "cdl", cdl)
+    path = tmp_path / "data.csv"
+    path.write_text("prediction,label\n0.3,1\n0.3,0\n0.7,1\n0.2,0\n")
+    code = main(["report", str(path), "--measures", "ece",
+                 "--verify-relations"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert "Traceback" not in err
+    assert err.startswith("error: measure 'cdl' ran out of memory")
+    assert err.count("\n") == 1
