@@ -41,7 +41,6 @@ from .distance import (
     OracleSizeError,
     canonical_predictor,
     ce_partition,
-    dce_from_instance,
     dce_oracle,
     dce_upper_oracle,
     intce_opt,

@@ -19,9 +19,9 @@ def ece(joint: EmpiricalJoint) -> float:
 
 
 def ece_q(joint: EmpiricalJoint, q: float) -> float:
-    """L^q version: E[|E[y|v] - v|^q]^(1/q).  Nondecreasing in q >= 1."""
-    if q < 1.0:
-        raise ValueError(f"q must be >= 1, got {q}")
+    """L^q version: E[|E[y|v] - v|^q]^(1/q), for finite q >= 1."""
+    if not 1.0 <= q < np.inf:
+        raise ValueError(f"q must be finite and >= 1, got {q}")
     ls = joint.level_sets()
     total = sum((ls.mass * np.abs(ls.mean - ls.vals) ** q).tolist())
     return total ** (1.0 / q)

@@ -6,9 +6,10 @@ oracles for a finite instance), online (sequential episodes), fixture
 curves).  All outputs are deterministic given --seed; floats are printed
 with 17 significant digits so regression diffs are exact.
 
-Exit codes: 0 ok, 1 relation chain violated (report --verify-relations),
-2 malformed input or argument, 3 unknown or inapplicable measure, 4 oracle
-size cap exceeded, 5 a measure ran out of memory.
+Exit codes, by :data:`EXIT_CODES`: 0 ok, 1 relation chain violated
+(report --verify-relations), 2 malformed input, argument or output path,
+3 unknown or inapplicable measure, 4 oracle size cap exceeded, 5 out of
+memory.  A command resolves all its measure ids before it computes any.
 """
 
 from __future__ import annotations
@@ -52,19 +53,34 @@ from .online import (
     Transcript,
     prefix_curves,
     run,
-    sequence_measure,
 )
-
-EXIT_BAD_INPUT = 2
-EXIT_BAD_MEASURE = 3
-EXIT_ORACLE_CAP = 4
-EXIT_OUT_OF_MEMORY = 5
 
 
 class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+
+# Each failure type with its exit code, the first match wins: OracleSizeError
+# and MeasureError are ValueErrors.  Exit 1 is left to the relation chain.
+EXIT_CODES: dict[type[Exception], int] = {
+    OracleSizeError: 4, MeasureError: 3, MemoryError: 5,
+    OSError: 2, ValueError: 2, KeyError: 2, TypeError: 2, OverflowError: 2,
+}
+
+
+@contextmanager
+def failures(label: str):
+    """Re-raise a failure of a type in EXIT_CODES as a CliError with its
+    code, prefixed by ``label``, what failed; the innermost label wins."""
+    try:
+        yield
+    except tuple(EXIT_CODES) as exc:
+        code = next(c for t, c in EXIT_CODES.items() if isinstance(exc, t))
+        if isinstance(exc, MemoryError):
+            label += " ran out of memory"
+        raise CliError(f"{label}: {str(exc) or type(exc).__name__}", code)
 
 
 # ---------------------------------------------------------------------------
@@ -104,16 +120,6 @@ def emit(obj, out: str | None) -> None:
 # ingestion
 
 
-@contextmanager
-def input_errors(path: str):
-    """Map a bad input file to exit 2; bad rows raise KeyError or TypeError,
-    and a JSON integer too large for a float raises OverflowError."""
-    try:
-        yield
-    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise CliError(f"malformed input {path}: {exc}", EXIT_BAD_INPUT)
-
-
 def parse_label(y) -> int:
     """A JSON label as 0 or 1: 0, 1, 0.0 and 1.0 pass, anything else is
     malformed rather than truncated."""
@@ -124,7 +130,7 @@ def parse_label(y) -> int:
 
 def load_joint(path: str) -> tuple[EmpiricalJoint, FiniteInstance | None]:
     suffix = Path(path).suffix.lower()
-    with input_errors(path):
+    with failures(f"input {path}"):
         if suffix == ".csv":
             return read_csv(path), None
         if suffix == ".jsonl":
@@ -133,8 +139,7 @@ def load_joint(path: str) -> tuple[EmpiricalJoint, FiniteInstance | None]:
             inst = read_instance_json(path)
             return project(inst), inst
     raise CliError(
-        f"unsupported input format {suffix!r} (use .csv, .jsonl, .json)",
-        EXIT_BAD_INPUT,
+        f"unsupported input format {suffix!r} (use .csv, .jsonl, .json)", 2
     )
 
 
@@ -143,54 +148,35 @@ def input_digest(path: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# measure errors
+# subcommands
 
 
-@contextmanager
-def measure_errors(spec: str):
-    """Map the failure of resolving or computing a measure to its exit
-    code: unknown or inapplicable id 3, oracle cap 4, malformed argument 2,
-    out of memory 5."""
-    try:
-        yield
-    except OracleSizeError as exc:
-        raise CliError(str(exc), EXIT_ORACLE_CAP)
-    except MemoryError as exc:
-        raise CliError(f"measure {spec!r} ran out of memory: "
-                       f"{str(exc) or 'MemoryError'}", EXIT_OUT_OF_MEMORY)
-    except MeasureError as exc:
-        raise CliError(str(exc), EXIT_BAD_MEASURE)
-    except (OSError, ValueError) as exc:
-        raise CliError(f"measure {spec!r}: {exc}", EXIT_BAD_INPUT)
+def split_specs(measures: str) -> list[str]:
+    return [m.strip() for m in measures.split(",") if m.strip()]
 
 
-def resolve_guarded(specs: list[str]) -> dict:
-    """Each spec resolved, in order, to a measure whose failures map to
-    that spec's exit code wherever it is called."""
+def resolve_guarded(specs: list[str], *settings) -> dict:
+    """Each spec resolved, in order and all before any is computed, with
+    ``settings`` as for ``resolve``, to a measure whose failures name that
+    spec wherever it is called."""
     guarded = {}
     for spec in specs:
-        with measure_errors(spec):
-            f = resolve(spec)
+        with failures(f"measure {spec!r}"):
+            f = resolve(spec, *settings)
 
-        def measure(joint, spec=spec, f=f):
-            with measure_errors(spec):
-                return f(joint)
+        def measure(joint, instance=None, spec=spec, f=f):
+            with failures(f"measure {spec!r}"):
+                return f(joint, instance)
 
         guarded[spec] = measure
     return guarded
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-
 def cmd_report(args) -> None:
     joint, instance = load_joint(args.input)
-    measures = {}
-    for spec in [m.strip() for m in args.measures.split(",") if m.strip()]:
-        with measure_errors(spec):
-            f = resolve(spec, args.grid, args.oracle_cap, args.kernel)
-            measures[spec] = f(joint, instance)
+    specs = split_specs(args.measures)
+    guarded = resolve_guarded(specs, args.grid, args.oracle_cap, args.kernel)
+    measures = {spec: f(joint, instance) for spec, f in guarded.items()}
     meta = {
         "version": __version__,
         "input": args.input,
@@ -222,15 +208,13 @@ def cmd_report(args) -> None:
 
 
 def cmd_oracle(args) -> None:
-    with input_errors(args.input):
+    with failures(f"input {args.input}"):
         instance = read_instance_json(args.input)
         joint = project(instance)
-    with measure_errors("dce"):
-        dce = dce_oracle(instance, args.cap)
-        upper = dce_upper_oracle(joint, args.cap)
-    with measure_errors("intce"):
-        s = smce(joint)
-        intce = intce_opt(joint, args.grid)
+    dce = dce_oracle(instance, args.cap)
+    upper = dce_upper_oracle(joint, args.cap)
+    s = smce(joint)
+    intce = intce_opt(joint, args.grid)
     tol = 1e-9
     obj = {
         "schema": 1,
@@ -258,54 +242,44 @@ def cmd_oracle(args) -> None:
 
 def parse_forecaster(spec: str):
     name, _, arg = spec.partition(":")
-    try:
-        if name == "constant":
-            return ConstantForecaster(float(arg))
-        if name == "running_mean":
-            if arg:
-                a, b = (float(x) for x in arg.split(","))
-                return RunningMeanForecaster(a, b)
-            return RunningMeanForecaster()
-        if name == "grid_random":
-            return GridRandomForecaster(int(arg))
-    except ValueError as exc:
-        raise CliError(f"bad forecaster spec {spec!r}: {exc}", EXIT_BAD_INPUT)
-    raise CliError(f"unknown forecaster {spec!r}", EXIT_BAD_INPUT)
+    if name == "constant":
+        return ConstantForecaster(float(arg))
+    if name == "running_mean":
+        if arg:
+            a, b = (float(x) for x in arg.split(","))
+            return RunningMeanForecaster(a, b)
+        return RunningMeanForecaster()
+    if name == "grid_random":
+        return GridRandomForecaster(int(arg))
+    raise CliError(f"unknown forecaster {spec!r}", 2)
 
 
 def parse_adversary(spec: str):
     name, _, arg = spec.partition(":")
-    try:
-        if name == "bernoulli":
-            return BernoulliAdversary(float(arg))
-        if name == "ones":
-            return ConstantAdversary(1)
-        if name == "zeros":
-            return ConstantAdversary(0)
-        if name == "threshold":
-            return ThresholdAdversary()
-    except ValueError as exc:
-        raise CliError(f"bad adversary spec {spec!r}: {exc}", EXIT_BAD_INPUT)
-    raise CliError(f"unknown adversary {spec!r}", EXIT_BAD_INPUT)
+    if name == "bernoulli":
+        return BernoulliAdversary(float(arg))
+    if name == "ones":
+        return ConstantAdversary(1)
+    if name == "zeros":
+        return ConstantAdversary(0)
+    if name == "threshold":
+        return ThresholdAdversary()
+    raise CliError(f"unknown adversary {spec!r}", 2)
 
 
 def cmd_online(args) -> None:
     forecaster = parse_forecaster(args.forecaster)
     adversary = parse_adversary(args.adversary)
-    try:
-        transcript = run(forecaster, adversary, args.rounds, args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT)
-    specs = [s.strip() for s in args.measures.split(",") if s.strip()]
+    transcript = run(forecaster, adversary, args.rounds, args.seed)
+    guarded = resolve_guarded(split_specs(args.measures))
     if args.curves:
         # the last point of a curve is the sequence measure, bit for bit
-        curves = prefix_curves(transcript, resolve_guarded(specs))
+        curves = prefix_curves(transcript, guarded)
         measures = {m: curve[-1] for m, curve in curves.items()}
     else:
-        curves, measures = {}, {}
-        for m in specs:
-            with measure_errors(m):
-                measures[m] = sequence_measure(transcript, m)
+        # as online.sequence_measure computes it, bit for bit
+        joint, curves = transcript.joint(), {}
+        measures = {m: len(transcript) * f(joint) for m, f in guarded.items()}
     obj = {
         "schema": 1,
         "rounds": [[p, y] for p, y in transcript.rounds],
@@ -324,14 +298,11 @@ def cmd_online(args) -> None:
 
 def build_fixture(name: str, eps: float, n: int) -> list[Fixture]:
     if name not in FIXTURES:
-        raise CliError(f"unknown fixture {name!r}", EXIT_BAD_INPUT)
-    try:
-        if name == "cdl_example_2":
-            made = FIXTURES[name](eps, n)
-        else:
-            made = FIXTURES[name](eps)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_BAD_INPUT)
+        raise CliError(f"unknown fixture {name!r}", 2)
+    if name == "cdl_example_2":
+        made = FIXTURES[name](eps, n)
+    else:
+        made = FIXTURES[name](eps)
     return list(made) if isinstance(made, tuple) else [made]
 
 
@@ -379,12 +350,12 @@ def cmd_plotdata(args) -> None:
         ):
             lines.append(f"{v:.17g},{mean:.17g},{mass:.17g}")
     elif args.kind == "transcript":
-        with input_errors(args.input):
+        with failures(f"input {args.input}"):
             data = json.loads(Path(args.input).read_text())
             transcript = Transcript(
                 tuple((float(p), parse_label(y)) for p, y in data["rounds"])
             )
-        measures = [m.strip() for m in args.measures.split(",") if m.strip()]
+        measures = split_specs(args.measures)
         curves = prefix_curves(transcript, resolve_guarded(measures))
         lines.append("t,p,y," + ",".join(f"prefix_{m}" for m in measures))
         for t, (p, y) in enumerate(transcript.rounds, start=1):
@@ -472,7 +443,8 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
         args.seed = default_seed()
     try:
-        args.func(args)
+        with failures(args.command):
+            args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .empirical import EmpiricalJoint, FiniteInstance, atom_sum, project
+from .empirical import EmpiricalJoint, FiniteInstance, atom_sum
 from .lipschitz import residuals
 
 DEFAULT_ORACLE_CAP = 12
@@ -263,8 +263,3 @@ def dce_upper_oracle(
     joint's distinct prediction values."""
     ls = joint.level_sets()
     return _min_partition_cost(ls.mass, ls.vals, ls.mean, cap)
-
-
-def dce_from_instance(instance: FiniteInstance, cap: int = DEFAULT_ORACLE_CAP):
-    """Convenience bundle: (dce, dce_upper) for an instance."""
-    return dce_oracle(instance, cap), dce_upper_oracle(project(instance), cap)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import warnings
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -306,24 +307,30 @@ def _csv_rows(path: str | Path) -> np.ndarray:
         if all(line == "\n" for line in fh):
             raise ValueError(f"{path}: no rows")
         fh.seek(body_start)
+        load = partial(
+            np.loadtxt, dtype=fields, delimiter=",", comments=None,
+            quotechar='"', usecols=[col[name] for name, _ in fields], ndmin=1,
+        )
         # Some numpy versions parse "0.5" into an int64 column through
         # float, truncating it, with only a DeprecationWarning; as an error
         # it becomes the ValueError that later versions raise
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            body = np.loadtxt(
-                fh, dtype=fields, delimiter=",", comments=None,
-                quotechar='"', usecols=[col[name] for name, _ in fields],
-                ndmin=1,
-            )
+            try:
+                body = load(fh)
+            except ValueError:
+                warnings.simplefilter("ignore", UserWarning)  # blank blocks
+                fh.seek(body_start)
+                _parse_blocks(path, fh, 2, load)
+                raise
     rows = np.ones((len(body), 3))
     for j, (name, _) in enumerate(fields):
         rows[:, j] = body[name]
     return rows
 
 
-# Lines of a JSONL file decoded per call, by size in characters.
-_JSONL_BLOCK = 1 << 16
+# Lines parsed per call by ``_parse_blocks``, by size in characters.
+_BLOCK = 1 << 16
 _scan_json = json.JSONDecoder().scan_once
 
 
@@ -337,22 +344,48 @@ def read_jsonl(path: str | Path) -> EmpiricalJoint:
 
 def _jsonl_rows(path: str | Path) -> np.ndarray:
     """The (n, 3) rows of a JSONL file, one block of lines at a time."""
-    blocks = []
     with open(path) as fh:
-        for lines in iter(partial(fh.readlines, _JSONL_BLOCK), []):
-            lines = list(filter(None, map(str.strip, lines)))
-            if not lines:
-                continue
-            objs = _json_objects(lines)
-            blocks.append(np.column_stack([
-                np.fromiter(map(itemgetter("p"), objs), float, len(objs)),
-                np.fromiter(map(itemgetter("y"), objs), float, len(objs)),
-                np.fromiter(map(dict.get, objs, repeat("w"), repeat(1.0)),
-                            float, len(objs)),
-            ]))
-    if not blocks:
+        blocks = _parse_blocks(path, fh, 1, _jsonl_block)
+    rows = np.concatenate([np.empty((0, 3)), *blocks])
+    if not len(rows):
         raise ValueError(f"{path}: no records")
-    return np.concatenate(blocks)
+    return rows
+
+
+def _jsonl_block(lines: list[str]) -> np.ndarray:
+    """The (n, 3) rows of the objects on ``lines``; blank lines skipped."""
+    objs = _json_objects(list(filter(None, map(str.strip, lines))))
+    return np.column_stack([
+        np.fromiter(map(itemgetter("p"), objs), float, len(objs)),
+        np.fromiter(map(itemgetter("y"), objs), float, len(objs)),
+        np.fromiter(map(dict.get, objs, repeat("w"), repeat(1.0)),
+                    float, len(objs)),
+    ])
+
+
+def _parse_blocks(path: str | Path, fh, first: int, parse) -> list:
+    """``parse`` of each block of lines from ``fh`` on, file line ``first``
+    on.  A block it refuses (a missing key, a value of the wrong type, a
+    malformed value, a JSON integer too large for a float) is parsed again
+    line by line, for an error naming the file line of the first refused."""
+    errors = (KeyError, TypeError, ValueError, OverflowError)
+    blocks = []
+    for lines in iter(partial(fh.readlines, _BLOCK), []):
+        try:
+            blocks.append(parse(lines))
+        except errors:
+            for n, line in enumerate(lines, first):
+                try:
+                    parse([line])
+                except errors as exc:
+                    # numpy counts rows from the start of what it parsed
+                    what = re.sub(r" at row \d+", "", str(exc))
+                    if isinstance(exc, KeyError):
+                        what = f"missing key {what}"
+                    raise ValueError(f"{path}, line {n}: {what}") from exc
+            raise
+        first += len(lines)
+    return blocks
 
 
 def _json_objects(lines: list[str]) -> list[dict]:

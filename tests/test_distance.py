@@ -10,7 +10,6 @@ from calmeasures import (
     OracleSizeError,
     canonical_predictor,
     ce_partition,
-    dce_from_instance,
     dce_oracle,
     dce_upper_oracle,
     ece,
@@ -180,7 +179,7 @@ class TestDceOracles:
     @given(instances())
     def test_sandwiches(self, inst):
         joint = project(inst)
-        dce, upper = dce_from_instance(inst)
+        dce, upper = dce_oracle(inst), dce_upper_oracle(joint)
         assert smce(joint) / 2.0 <= dce + 1e-9
         assert dce <= upper + 1e-12
         assert upper <= 4.0 * math.sqrt(dce) + 1e-9

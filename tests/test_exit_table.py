@@ -1,0 +1,61 @@
+"""Failures outside a measure or a reader: each maps through the CLI's one
+exit-code table to its code, with one error line and no traceback."""
+
+import pytest
+
+from calmeasures import cli
+from calmeasures.cli import main
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+@pytest.fixture
+def csv(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("prediction,label\n0.3,1\n0.3,0\n0.7,1\n0.2,0\n")
+    return str(path)
+
+
+def test_unwritable_report_output_exits_2(csv, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    assert main(["report", csv, "-o", str(out)]) == 2
+    one_error_line(capsys)
+
+
+def test_unwritable_fixture_emit_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    argv = ["fixture", "--name", "two_point", "--eps", "0.1", "--emit"]
+    assert main(argv + [str(out)]) == 2
+    one_error_line(capsys)
+
+
+def test_overflowing_grid_exits_2(csv, capsys):
+    argv = ["report", csv, "--measures", "intce"]
+    assert main(argv + ["--grid", "100000000000000000000"]) == 2
+    assert one_error_line(capsys).startswith("error: measure 'intce'")
+
+
+def test_reader_out_of_memory_exits_5(csv, monkeypatch, capsys):
+    def read_csv(path):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "read_csv", read_csv)
+    assert main(["report", csv]) == 5
+    err = one_error_line(capsys)
+    assert err.startswith(f"error: input {csv} ran out of memory")
+
+
+def test_every_spec_resolves_before_any_is_computed(tmp_path, capsys):
+    """dce_upper would exceed the oracle cap on 14 distinct scores (exit
+    4), but the unknown id after it is refused first."""
+    path = tmp_path / "wide.csv"
+    path.write_text("prediction,label\n" + "".join(
+        f"{(i + 1) / 16},{i % 2}\n" for i in range(14)))
+    argv = ["report", str(path), "--measures", "dce_upper,nope"]
+    assert main(argv) == 3
+    assert "unknown measure 'nope'" in one_error_line(capsys)

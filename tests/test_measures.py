@@ -105,6 +105,8 @@ EXIT_CASES = {
     "task_without_payoff": (bad_task, [], ROUNDS, 2),
     "missing_task_file": ("cfdl:/no/such/task.json", [], ROUNDS, 2),
     "oracle_cap": ("dce_upper", [], WIDE_ROUNDS, 4),
+    "nan_q": ("ece_q:nan", [], ROUNDS, 2),
+    "infinite_q": ("ece_q:inf", [], ROUNDS, 2),
 }
 
 

@@ -255,3 +255,40 @@ def test_reader_peak_memory_per_row(tmp_path, fmt):
     finally:
         tracemalloc.stop()
     assert peak < 120 * n
+
+
+def refused_at(reader, path, message):
+    with pytest.raises(ValueError) as info:
+        reader(path)
+    assert str(info.value).startswith(f"{path}, {message}")
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("float-label.csv", "prediction,label\n0.4,1.0\n0.5,0\n", "line 2: "),
+    ("short-row-after-blank.csv",
+     "prediction,label\n0.4,1\n\n0.5,0\n0.6\n", "line 5: "),
+    ("missing-label.jsonl", '{"p": 0.4, "y": 1}\n\n{"p": 0.5}\n',
+     "line 3: missing key 'y'"),
+], ids=["float-label-csv", "short-row-after-blank-csv", "missing-key-jsonl"])
+def test_row_error_names_the_file_line(tmp_path, capsys, name, text,
+                                       message):
+    path = tmp_path / name
+    path.write_text(text)
+    refused_at(read_csv if path.suffix == ".csv" else read_jsonl, path,
+               message)
+    err = exits_2_with_one_line(capsys, ["report", str(path)])
+    assert f"{path}, {message}" in err and " at row " not in err
+
+
+def test_row_error_in_a_late_block_names_its_line(tmp_path):
+    """Lines are counted across the readers' blocks of 64 Ki characters."""
+    rows = [f'{{"p": {i / 10**4!r}, "y": {i % 2}}}\n' for i in range(10**4)]
+    rows[9000] = '{"p": 0.5, "y": 1,}\n'
+    path = tmp_path / "late.jsonl"
+    path.write_text("".join(rows))
+    refused_at(read_jsonl, path, "line 9001: ")
+    path = tmp_path / "late.csv"
+    path.write_text("prediction,label\n" + "".join(
+        f"{i / 10**4!r},{'x' if i == 9000 else i % 2}\n"
+        for i in range(10**4)))
+    refused_at(read_csv, path, "line 9002: ")
