@@ -15,6 +15,7 @@ memory.  A command resolves all its measure ids before it computes any.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -104,6 +105,9 @@ def _render(obj) -> str:
         )
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
+        # flat float lists (prefix curves) skip one call per value
+        if all(type(v) is float for v in obj):
+            return "[" + ",".join(format(v, ".17g") for v in obj) + "]"
         return "[" + ",".join(_render(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)}")
 
@@ -379,7 +383,10 @@ def default_seed() -> int:
 MEASURES_HELP = "comma list of <id>[:<arg>], ids: " + ", ".join(MEASURES)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: it depends only on static tables, and
+    ``main`` reads the environment's default seed per call."""
     parser = argparse.ArgumentParser(
         prog="calmeasure",
         description="calibration error measures for binary predictors",

@@ -140,6 +140,11 @@ def intce_opt(joint: EmpiricalJoint, g: int = 1000) -> float:
     """
     if g < 2:
         raise ValueError("grid resolution must be >= 2")
+    # predictions are at most 1, so v * g <= float(g): the cast below is
+    # safe while float(g) < 2**63
+    if float(g) >= 2.0**63:
+        raise ValueError(f"grid resolution g={g} too large: cell indices "
+                         "v * g must fit int64 (g < 2**63)")
     vals, rs = residuals(joint)
     # values in one grid cell always share a group: merge them into one row
     cells, row = np.unique(np.minimum((vals * g).astype(np.int64), g - 1),

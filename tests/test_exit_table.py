@@ -1,6 +1,8 @@
 """Failures outside a measure or a reader: each maps through the CLI's one
 exit-code table to its code, with one error line and no traceback."""
 
+import warnings
+
 import pytest
 
 from calmeasures import cli
@@ -38,6 +40,16 @@ def test_overflowing_grid_exits_2(csv, capsys):
     argv = ["report", csv, "--measures", "intce"]
     assert main(argv + ["--grid", "100000000000000000000"]) == 2
     assert one_error_line(capsys).startswith("error: measure 'intce'")
+
+
+def test_huge_grid_is_refused_before_any_cast(csv, capsys):
+    """Refused by name, not after numpy warns of an invalid cast."""
+    argv = ["report", csv, "--measures", "intce"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--grid", "100000000000000000000"]) == 2
+    err = one_error_line(capsys)
+    assert err.startswith("error: measure 'intce': grid resolution g=")
 
 
 def test_reader_out_of_memory_exits_5(csv, monkeypatch, capsys):
