@@ -14,9 +14,12 @@ chain-DP measures smce and emd and the grid DP intce, and must report
 finite values with emd/2 <= smce <= emd within 1e-9.
 Every run with --verify-relations must pass every check.  Then ONLINE_ARGS
 plays ROUNDS rounds with prefix curves, each of which must have ROUNDS
-points and end at its sequence measure within 1e-9 * ROUNDS.  Prints the
-wall time of each run and exits 1 if any run fails.  The times are printed,
-not gated.
+points and end at its sequence measure within 1e-9 * ROUNDS.  LARGE_K_ARGS
+plays an episode whose predictions are nearly all distinct (k close to T)
+with prefix curves, and again with --no-curves: each curve's last point
+must equal the --no-curves sequence measure bit for bit.  Prints the wall
+time of each run and exits 1 if any run fails.  The times are printed, not
+gated.
 """
 
 import json
@@ -39,6 +42,8 @@ CHAIN_MEASURES = "smce,emd,intce"
 ROUNDS = 20000
 ONLINE_ARGS = ["--forecaster", "grid_random:20", "--adversary",
                "bernoulli:0.3", "--measures", "ece,cdl"]
+LARGE_K_ARGS = ["online", "--forecaster", "running_mean", "--adversary",
+                "bernoulli:0.7", "-T", "6000", "--measures", "ece,ece2,tv,cdl"]
 
 
 def write_rows(path: Path, p: np.ndarray, y: np.ndarray) -> None:
@@ -73,9 +78,8 @@ def write_inputs(work: Path) -> list[tuple[Path, list[str]]]:
 
 def passed(report: dict) -> bool:
     if "prefix_curves" in report:
-        ends = report["sequence_measures"]
-        return all(len(curve) == ROUNDS
-                   and abs(curve[-1] - ends[m]) <= 1e-9 * ROUNDS
+        ends, T = report["sequence_measures"], len(report["rounds"])
+        return all(len(curve) == T and abs(curve[-1] - ends[m]) <= 1e-9 * T
                    for m, curve in report["prefix_curves"].items())
     if not all(report.get("relation_checks", {}).values()):
         return False
@@ -102,6 +106,21 @@ def run(name: str, argv: list[str], out: Path) -> bool:
     return ok
 
 
+def curves_end_at_no_curves(work: Path) -> bool:
+    """LARGE_K_ARGS with curves and with --no-curves; each curve's last
+    point must be the sequence measure, bit for bit."""
+    with_curves, without = work / "large-k.out.json", work / "seq.out.json"
+    ok = run("online large k", LARGE_K_ARGS, with_curves)
+    ok &= run("online large k --no-curves", [*LARGE_K_ARGS, "--no-curves"],
+              without)
+    if not ok:
+        return False
+    curves = json.loads(with_curves.read_text())["prefix_curves"]
+    ends = json.loads(without.read_text())["sequence_measures"]
+    return list(curves) == list(ends) and all(
+        curves[m][-1] == ends[m] for m in ends)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         runs = write_inputs(Path(tmp))
@@ -113,6 +132,7 @@ def main() -> int:
         ok &= run(f"online -T {ROUNDS}",
                   ["online", "-T", str(ROUNDS), *ONLINE_ARGS],
                   Path(tmp) / "online.out.json")
+        ok &= curves_end_at_no_curves(Path(tmp))
     if not ok:
         print("FAILED")
         return 1

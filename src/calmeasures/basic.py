@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .empirical import EmpiricalJoint, atom_sum
+from .empirical import EmpiricalJoint
 
 
 def ece(joint: EmpiricalJoint) -> float:
@@ -19,12 +19,27 @@ def ece(joint: EmpiricalJoint) -> float:
 
 
 def ece_q(joint: EmpiricalJoint, q: float) -> float:
-    """L^q version: E[|E[y|v] - v|^q]^(1/q), for finite q >= 1."""
+    """L^q version: E[|E[y|v] - v|^q]^(1/q), for finite q >= 1; the
+    one-row call of :func:`ece_q_rows`."""
+    ls = joint.level_sets()
+    return float(ece_q_rows(ls.vals, ls.m0[None], ls.m1[None], q)[0])
+
+
+def ece_q_rows(
+    vals: np.ndarray, m0: np.ndarray, m1: np.ndarray, q: float
+) -> np.ndarray:
+    """ece_q of each row's joint: row r puts the label masses m0[r, i] and
+    m1[r, i] on the prediction vals[i], and a level of mass 0.0 in a row is
+    not in that row's joint.
+
+    The per-level terms are summed from the left, in level order: a row's
+    absent levels add +0.0, so each row's value is its joint's, bit for bit.
+    The final power is a Python float power, as for one joint."""
     if not 1.0 <= q < np.inf:
         raise ValueError(f"q must be finite and >= 1, got {q}")
-    ls = joint.level_sets()
-    total = sum((ls.mass * np.abs(ls.mean - ls.vals) ** q).tolist())
-    return total ** (1.0 / q)
+    mass, mean = EmpiricalJoint.row_mass_mean(m0, m1)
+    totals = (mass * np.abs(mean - vals) ** q).cumsum(axis=1)[:, -1]
+    return np.array([total ** (1.0 / q) for total in totals.tolist()])
 
 
 def surrogate_masses(
@@ -44,12 +59,21 @@ def surrogate_masses(
 
 def tv_characterization(joint: EmpiricalJoint) -> float:
     """Total variation between the joint and its Bernoulli surrogate, from
-    the per-label masses and not the mean column.  Equals ece(joint)."""
+    the per-label masses and not the mean column.  Equals ece(joint); the
+    one-row call of :func:`tv_rows`."""
     ls = joint.level_sets()
-    return 0.5 * atom_sum(
-        np.abs(ls.m1 - ls.mass * ls.vals),
-        np.abs(ls.m0 - ls.mass * (1.0 - ls.vals)),
-    )
+    return float(tv_rows(ls.vals, ls.m0[None], ls.m1[None])[0])
+
+
+def tv_rows(vals: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """tv_characterization of each row's joint, rows as for
+    :func:`ece_q_rows`.  The two gaps of each level are summed from the
+    left, level by level, in the order ``atom_sum`` adds them."""
+    mass = m0 + m1
+    gaps = np.empty((len(m0), 2 * m0.shape[1]))
+    gaps[:, 0::2] = np.abs(m1 - mass * vals)
+    gaps[:, 1::2] = np.abs(m0 - mass * (1.0 - vals))
+    return 0.5 * gaps.cumsum(axis=1)[:, -1]
 
 
 def bucket_midpoint(v, b: int):

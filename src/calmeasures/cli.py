@@ -162,18 +162,25 @@ def split_specs(measures: str) -> list[str]:
 def resolve_guarded(specs: list[str], *settings) -> dict:
     """Each spec resolved, in order and all before any is computed, with
     ``settings`` as for ``resolve``, to a measure whose failures name that
-    spec wherever it is called."""
+    spec wherever it is called; so is its row form ``rows``, if it has one."""
     guarded = {}
     for spec in specs:
-        with failures(f"measure {spec!r}"):
+        label = f"measure {spec!r}"
+        with failures(label):
             f = resolve(spec, *settings)
-
-        def measure(joint, instance=None, spec=spec, f=f):
-            with failures(f"measure {spec!r}"):
-                return f(joint, instance)
-
-        guarded[spec] = measure
+        guarded[spec] = _guard(label, f)
+        if hasattr(f, "rows"):
+            guarded[spec].rows = _guard(label, f.rows)
     return guarded
+
+
+def _guard(label: str, f):
+    """``f`` with its failures re-raised by ``failures(label)``."""
+    def call(*args):
+        with failures(label):
+            return f(*args)
+
+    return call
 
 
 def cmd_report(args) -> None:

@@ -315,20 +315,29 @@ def v_divergence(vstar: float, v1: float, v2: float) -> float:
 
 def cdl(joint: EmpiricalJoint) -> float:
     """sup over vstar of the mass-weighted V-shaped divergence between
-    recalibrated values and predictions, by one sort and one sweep.
+    recalibrated values and predictions, by one sort and one sweep; the
+    one-row call of :func:`cdl_rows`, where the sweep is described."""
+    ls = joint.level_sets()
+    return float(cdl_rows(ls.vals, ls.m0[None], ls.m1[None])[0])
+
+
+def cdl_rows(vals: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """cdl of each row's joint: row r puts the label masses m0[r, i] and
+    m1[r, i] on the prediction vals[i], and a level of mass 0.0 in a row is
+    not in that row's joint.
 
     Level i (prediction v, mass m, recalibrated value mean) adds
     2 m |mean - b| at vstar = b when b lies in its membership interval
     (lo, hi] = (min(mean, v), max(mean, v)], and nothing elsewhere.  On the
     interval the term is linear in b, with slope -2m when mean is the upper
     end and 2m when it is the lower one; a level with mean == v adds
-    nothing and is left out.  The objective is therefore piecewise linear
-    with breakpoints at the 2k interval ends, and left-continuous, since
-    the intervals are closed on the right.  On each piece it is linear, so
-    its sup is the value or the right limit at some end.
+    nothing.  The objective is therefore piecewise linear with breakpoints
+    at the 2k interval ends, and left-continuous, since the intervals are
+    closed on the right.  On each piece it is linear, so its sup is the
+    value or the right limit at some end.
 
-    The ends are sorted once.  A cumulative sum of slopes (added at lo,
-    taken away at hi) gives the slope of every piece, and a second one
+    Each row's ends are sorted once.  A cumulative sum of slopes (added at
+    lo, taken away at hi) gives the slope of every piece, and a second one
     adds, end by end, each level's term as it enters (at lo) or leaves (at
     hi) and each piece's slope times its length.  Its entries are the
     value at each end, reached before the end's own entries and leavings,
@@ -338,21 +347,35 @@ def cdl(joint: EmpiricalJoint) -> float:
     clipped below at 0.0, is the sup.  The sums stay on the scale of the
     objective, so the result keeps its relative accuracy on nearly
     calibrated joints, where a sum of per-level intercepts 2 m mean would
-    cancel.  O(k log k) time and O(k) memory in the number k of levels.
+    cancel.  O(k log k) time and O(k) memory per row of k levels.
+
+    A level that adds nothing in a row (mass 0.0, or mean == v) keeps its
+    place with slope and terms +-0.0 and both its ends at 0.0, at or below
+    every other end: the sorted active ends keep their order and the gaps
+    between them, and every step the level adds is +-0.0, so each row's
+    value is its joint's, bit for bit.
     """
-    ls = joint.level_sets()
-    moved = ls.mean != ls.vals
-    v, mean = ls.vals[moved], ls.mean[moved]
-    up = mean > v
-    slope = np.where(up, -2.0, 2.0) * ls.mass[moved]
-    term = slope * (v - mean)  # 2m |mean - v|, at the end away from mean
+    mass, mean = EmpiricalJoint.row_mass_mean(m0, m1)
+    gap = vals - mean
+    # -2m when mean is the upper end, 2m when v is, 0.0 when mean == v
+    slope = 2.0 * mass * np.sign(gap)
+    term = slope * gap  # 2m |mean - v|, at the end away from mean
+    moved, up = slope != 0.0, slope < 0.0
     # leavings first: the stable sort keeps them before entries at a tie
-    ends = np.concatenate((np.maximum(mean, v), np.minimum(mean, v)))
-    order = ends.argsort(kind="stable")
-    ends = ends[order]
-    slopes = np.concatenate((-slope, slope))[order].cumsum()
-    steps = np.empty(max(2 * len(ends) - 1, 0))
-    steps[0::2] = np.concatenate(
-        (np.where(up, 0.0, -term), np.where(up, term, 0.0)))[order]
-    steps[1::2] = slopes[:-1] * (ends[1:] - ends[:-1])
-    return float(steps.cumsum().max(initial=0.0))
+    ends = np.concatenate((np.where(moved, np.maximum(mean, vals), 0.0),
+                           np.where(moved, np.minimum(mean, vals), 0.0)),
+                          axis=1)
+    order = ends.argsort(axis=1, kind="stable")
+    order += np.arange(0, order.size, order.shape[1])[:, None]
+
+    def in_order(*halves):
+        return np.concatenate(halves, axis=1).ravel()[order]
+
+    ends = ends.ravel()[order]
+    slopes = in_order(-slope, slope).cumsum(axis=1)
+    steps = np.empty((len(ends), 2 * ends.shape[1] - 1))
+    steps[:, 0::2] = in_order(
+        np.where(up, 0.0, -term), np.where(up, term, 0.0))
+    steps[:, 1::2] = slopes[:, :-1] * (ends[:, 1:] - ends[:, :-1])
+    # max may pick a -0.0 among equal zeros; + 0.0 makes it print as 0
+    return steps.cumsum(axis=1).max(axis=1, initial=0.0) + 0.0

@@ -72,6 +72,20 @@ def atom_sum(first: np.ndarray, second: np.ndarray) -> float:
     return sum(np.column_stack((first, second)).ravel().tolist())
 
 
+def _check_atoms(rows: np.ndarray) -> None:
+    """Raise a ValueError naming the first of the (v, y, m) ``rows`` that is
+    not an atom: a prediction outside [0, 1], a label other than 0 or 1, or
+    a mass that is negative, infinite or NaN."""
+    v, y, m = rows.T
+    ok = (v >= 0.0) & (v <= 1.0) & ((y == 0.0) | (y == 1.0))
+    bad = ~(ok & (m >= 0.0) & (m < math.inf))
+    if bad.any():
+        raise ValueError(
+            f"invalid atom {tuple(rows[bad][0].tolist())}: need "
+            "prediction in [0, 1], label 0 or 1 and finite mass >= 0"
+        )
+
+
 def _label_rows(v: np.ndarray, labels: tuple, masses: tuple) -> np.ndarray:
     """Atom rows (v[i], labels[j], masses[j][i]), ordered by i, then j."""
     rows = np.empty((len(v), len(labels), 3))
@@ -100,14 +114,8 @@ class EmpiricalJoint:
         if not isinstance(atoms, np.ndarray):
             atoms = list(atoms)
         rows = np.asarray(atoms, dtype=float).reshape(len(atoms), 3)
+        _check_atoms(rows)
         v, y, m = rows.T
-        ok = (v >= 0.0) & (v <= 1.0) & ((y == 0.0) | (y == 1.0))
-        bad = ~(ok & (m >= 0.0) & (m < math.inf))
-        if bad.any():
-            raise ValueError(
-                f"invalid atom {tuple(rows[bad][0].tolist())}: need "
-                "prediction in [0, 1], label 0 or 1 and finite mass >= 0"
-            )
         positive = m > 0.0
         if not positive.all():
             v, y, m = rows[positive].T
@@ -149,6 +157,17 @@ class EmpiricalJoint:
         return EmpiricalJoint(LevelSets(
             vals, m0, m1, mass, m1 / mass, m1 * (1.0 - vals) - m0 * vals
         ))
+
+    @staticmethod
+    def row_mass_mean(
+        m0: np.ndarray, m1: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The mass and mean label of each level of each row of label masses
+        m0, m1, as :meth:`from_columns` derives them: the row forms' one
+        place for it.  A level of mass 0.0, absent from its row's joint,
+        gets mean 0.0."""
+        mass = m0 + m1
+        return mass, m1 / np.where(mass > 0.0, mass, 1.0)
 
     @property
     def atoms(self) -> tuple[tuple[float, int, float], ...]:
@@ -290,8 +309,8 @@ def read_csv(path: str | Path) -> EmpiricalJoint:
 
 
 def _csv_rows(path: str | Path) -> np.ndarray:
-    """The (n, 3) rows of a CSV file; the parsed body is freed on return,
-    before ``make`` runs."""
+    """The (n, 3) rows of a CSV file, each one an atom; the parsed body is
+    freed on return, before ``make`` runs."""
     with open(path) as fh:
         names = [name.strip() for name in next(csv.reader([fh.readline()]))]
         col = {name: i for i, name in enumerate(names)}
@@ -311,22 +330,27 @@ def _csv_rows(path: str | Path) -> np.ndarray:
             np.loadtxt, dtype=fields, delimiter=",", comments=None,
             quotechar='"', usecols=[col[name] for name, _ in fields], ndmin=1,
         )
+
+        def parse(lines) -> np.ndarray:
+            body = load(lines)
+            rows = np.ones((len(body), 3))
+            for j, (name, _) in enumerate(fields):
+                rows[:, j] = body[name]
+            _check_atoms(rows)
+            return rows
+
         # Some numpy versions parse "0.5" into an int64 column through
         # float, truncating it, with only a DeprecationWarning; as an error
         # it becomes the ValueError that later versions raise
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             try:
-                body = load(fh)
+                return parse(fh)
             except ValueError:
                 warnings.simplefilter("ignore", UserWarning)  # blank blocks
                 fh.seek(body_start)
-                _parse_blocks(path, fh, 2, load)
+                _parse_blocks(path, fh, 2, parse)
                 raise
-    rows = np.ones((len(body), 3))
-    for j, (name, _) in enumerate(fields):
-        rows[:, j] = body[name]
-    return rows
 
 
 # Lines parsed per call by ``_parse_blocks``, by size in characters.
@@ -353,21 +377,25 @@ def _jsonl_rows(path: str | Path) -> np.ndarray:
 
 
 def _jsonl_block(lines: list[str]) -> np.ndarray:
-    """The (n, 3) rows of the objects on ``lines``; blank lines skipped."""
+    """The (n, 3) rows of the objects on ``lines``, each one an atom; blank
+    lines skipped."""
     objs = _json_objects(list(filter(None, map(str.strip, lines))))
-    return np.column_stack([
+    rows = np.column_stack([
         np.fromiter(map(itemgetter("p"), objs), float, len(objs)),
         np.fromiter(map(itemgetter("y"), objs), float, len(objs)),
         np.fromiter(map(dict.get, objs, repeat("w"), repeat(1.0)),
                     float, len(objs)),
     ])
+    _check_atoms(rows)
+    return rows
 
 
 def _parse_blocks(path: str | Path, fh, first: int, parse) -> list:
     """``parse`` of each block of lines from ``fh`` on, file line ``first``
     on.  A block it refuses (a missing key, a value of the wrong type, a
-    malformed value, a JSON integer too large for a float) is parsed again
-    line by line, for an error naming the file line of the first refused."""
+    malformed value, a JSON integer too large for a float, a row that is
+    not an atom) is parsed again line by line, for an error naming the file
+    line of the first refused."""
     errors = (KeyError, TypeError, ValueError, OverflowError)
     blocks = []
     for lines in iter(partial(fh.readlines, _BLOCK), []):

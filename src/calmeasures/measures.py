@@ -1,6 +1,8 @@
 """The measure-id registry: one :data:`MEASURES` entry per id, holding an
 argument parser (None when the id takes no argument), a compute function
-``(joint, instance, arg, settings)`` and an instance-only flag.
+``(joint, instance, arg, settings)``, an instance-only flag and, for the
+ids whose measure has one, a row form ``(vals, m0, m1, arg, settings)``
+that returns the measure of each row's joint (see ``basic.ece_q_rows``).
 
 Entries call the measure functions through this module's global names at
 call time, so a wrapper installed on a module attribute (as the
@@ -12,8 +14,9 @@ from __future__ import annotations
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-from .basic import binned_ece, ece, ece_q, tv_characterization
-from .decision import DecisionTask, cdl, cfdl
+from .basic import binned_ece, ece, ece_q, ece_q_rows, tv_characterization
+from .basic import tv_rows
+from .decision import DecisionTask, cdl, cdl_rows, cfdl
 from .distance import DEFAULT_ORACLE_CAP, dce_oracle, dce_upper_oracle
 from .distance import intce_opt
 from .empirical import EmpiricalJoint, FiniteInstance
@@ -29,19 +32,25 @@ class Measure(NamedTuple):
     parse: Callable[[str], object] | None
     compute: Callable[..., float]
     instance_only: bool = False
+    rows: Callable[..., object] | None = None
 
 
 MEASURES: dict[str, Measure] = {
-    "ece": Measure(None, lambda j, i, a, s: ece(j)),
-    "ece2": Measure(None, lambda j, i, a, s: ece_q(j, 2.0)),
-    "ece_q": Measure(float, lambda j, i, a, s: ece_q(j, a)),
-    "tv": Measure(None, lambda j, i, a, s: tv_characterization(j)),
+    "ece": Measure(None, lambda j, i, a, s: ece(j),
+                   rows=lambda v, m0, m1, a, s: ece_q_rows(v, m0, m1, 1.0)),
+    "ece2": Measure(None, lambda j, i, a, s: ece_q(j, 2.0),
+                    rows=lambda v, m0, m1, a, s: ece_q_rows(v, m0, m1, 2.0)),
+    "ece_q": Measure(float, lambda j, i, a, s: ece_q(j, a),
+                     rows=lambda v, m0, m1, a, s: ece_q_rows(v, m0, m1, a)),
+    "tv": Measure(None, lambda j, i, a, s: tv_characterization(j),
+                  rows=lambda v, m0, m1, a, s: tv_rows(v, m0, m1)),
     "binned": Measure(int, lambda j, i, a, s: binned_ece(j, a)),
     "smce": Measure(None, lambda j, i, a, s: smce(j)),
     "lowdeg": Measure(int, lambda j, i, a, s: low_degree_ce(j, a)),
     "kernel": Measure(str, lambda j, i, a, s: kernel_ce(j, a or s.kernel)),
     "emd": Measure(None, lambda j, i, a, s: emd_joints(j)),
-    "cdl": Measure(None, lambda j, i, a, s: cdl(j)),
+    "cdl": Measure(None, lambda j, i, a, s: cdl(j),
+                   rows=lambda v, m0, m1, a, s: cdl_rows(v, m0, m1)),
     "cfdl": Measure(DecisionTask.from_json, lambda j, i, a, s: cfdl(j, a)),
     "intce": Measure(None, lambda j, i, a, s: intce_opt(j, s.grid)),
     "dce_upper": Measure(None, lambda j, i, a, s: dce_upper_oracle(j, s.cap)),
@@ -55,7 +64,8 @@ def resolve(
     oracle_cap: int = DEFAULT_ORACLE_CAP,
     kernel: str = "laplace",
 ) -> Callable[..., float]:
-    """Parse ``<id>[:<arg>]`` once into ``f(joint, instance=None)``.
+    """Parse ``<id>[:<arg>]`` once into ``f(joint, instance=None)``; for an
+    id with a row form, ``f.rows(vals, m0, m1)`` is that form.
 
     An unknown id, an argument on an id that takes none, or an instance-only
     id called without an instance raises MeasureError; a malformed argument
@@ -72,4 +82,7 @@ def resolve(
             raise MeasureError(f"measure {name!r} needs a FiniteInstance JSON")
         return entry.compute(joint, instance, arg, settings)
 
+    if entry.rows is not None:
+        measure.rows = lambda vals, m0, m1: entry.rows(
+            vals, m0, m1, arg, settings)
     return measure

@@ -221,13 +221,17 @@ def prefix_curves(
     ``measures``, from one walk over the prefixes.
 
     The transcript is aggregated once, into per-label counts of its k
-    distinct predictions.  Each prefix's joint is built once from the counts
-    over its length t, levels of count 0 dropped, every f runs on it in
-    order, and then its last round is counted out, so the curves cost
-    O(T k) outside the measures.  The walk starts at the longest prefix,
-    so a measure that fails on a size cap fails at its first call.  The
-    joints are the ones ``from_samples`` builds from the prefixes, bit for
-    bit: merged unit masses are exact integer counts, and their total is t.
+    distinct predictions.  The walk takes the prefixes longest first, in
+    blocks: a block holds the label masses of prefixes t = hi, hi - 1, ...
+    as the rows of two arrays m0, m1, on the w levels present at its
+    longest prefix hi, with max(1, _BLOCK_CELLS // w) rows.  An f with a
+    row form ``f.rows(vals, m0, m1)`` runs once per block; every other f
+    runs, in order, on each row's joint, built once from the row with its
+    levels of mass 0.0 dropped.  The walk starts at the longest prefix, so
+    a measure that fails on a size cap fails at its first call.  The
+    masses are the ones ``from_samples`` builds from the prefixes, bit for
+    bit: merged unit masses are exact integer counts, and their total is
+    t; the row forms give each row its joint's value, bit for bit.
     """
     p, y = np.array(transcript.rounds, dtype=float).T
     y = y.astype(np.intp)
@@ -235,10 +239,44 @@ def prefix_curves(
     distinct += 0.0  # make's value for a level of 0.0 and -0.0
     k = len(distinct)
     counts = np.bincount(y * k + level, minlength=2 * k).reshape(2, k)
+    rows = {spec: f.rows for spec, f in measures.items() if hasattr(f, "rows")}
+    joints = {spec: f for spec, f in measures.items() if spec not in rows}
     curves = {spec: [] for spec in measures}
-    for t in range(len(p), 0, -1):
-        joint = EmpiricalJoint.from_columns(distinct, *(counts / t))
-        for spec, f in measures.items():
-            curves[spec].append(t * f(joint))
-        counts[y[t - 1], level[t - 1]] -= 1
+    hi = len(p)
+    while hi:
+        present = np.flatnonzero(counts.any(axis=0))
+        w = len(present)
+        n = min(hi, max(1, _BLOCK_CELLS // w))
+        t = np.arange(hi, hi - n, -1)
+        # row r is prefix hi - r: the counts at hi less rounds hi - r to
+        # hi - 1, summed down the rows only in the (label, level) columns
+        # that those rounds hit
+        out = np.arange(hi - 1, hi - n, -1)
+        cols, col = np.unique(
+            y[out] * w + np.searchsorted(present, level[out]),
+            return_inverse=True)
+        gone = np.zeros((n, len(cols)), dtype=counts.dtype)
+        gone[np.arange(1, n), col] = 1
+        block = np.empty((n, 2, w), dtype=counts.dtype)
+        block[:] = counts.take(present, axis=1)
+        block.reshape(n, 2 * w)[:, cols] -= gone.cumsum(axis=0)
+        m0, m1 = (block / t[:, None, None]).transpose(1, 0, 2)
+        vals = distinct[present]
+        for spec, f in rows.items():
+            curves[spec].extend((t * f(vals, m0, m1)).tolist())
+        if joints:
+            for r, tr in enumerate(t.tolist()):
+                joint = EmpiricalJoint.from_columns(vals, m0[r], m1[r])
+                for spec, f in joints.items():
+                    curves[spec].append(tr * f(joint))
+        np.subtract.at(counts, (y[hi - n:hi], level[hi - n:hi]), 1)
+        hi -= n
     return {spec: curve[::-1] for spec, curve in curves.items()}
+
+
+# Cells (rows times levels) of one block of prefixes in ``prefix_curves``;
+# past it in levels, a block is one row.  Sized by measurement on 2 vCPUs:
+# the ece,cdl walks of the benchmark's online-curves ops (T = 100-300) were
+# fastest at 2**11-2**12 cells, and about 30% slower at 2**10 or 2**13,
+# where a row costs more in cache than a block saves in calls.
+_BLOCK_CELLS = 1 << 12

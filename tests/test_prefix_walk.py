@@ -1,8 +1,9 @@
 """One prefix walk for every measure of an online run, and the canonical
 zero of a level's value.
 
-``prefix_curves`` builds each prefix's joint once and runs every measure on
-it; ``online`` takes each sequence measure from the last point of its
+``prefix_curves`` builds each prefix's joint once and runs every measure
+without a row form on it, and runs the row forms once per block of
+prefixes; ``online`` takes each sequence measure from the last point of its
 curve instead of solving the whole transcript again.  ``EmpiricalJoint``
 stores a level of 0.0 and -0.0 as 0.0, so equal joints print equally.
 """
@@ -94,20 +95,23 @@ def online_argv(*extra):
 
 class TestOnlineCommand:
     def test_no_second_solve(self, monkeypatch, capsys):
-        """With curves on, cdl runs once per prefix and not once more on
-        the whole transcript; with --no-curves it runs once."""
-        calls = []
-        cdl = measures.cdl
+        """With curves on, cdl's row form evaluates each of the 40 prefixes
+        once and cdl runs on no whole transcript; with --no-curves cdl runs
+        once."""
+        rows, calls = [], []
+        cdl, cdl_rows = measures.cdl, measures.cdl_rows
         monkeypatch.setattr(measures, "cdl",
                             lambda joint: calls.append(1) or cdl(joint))
+        monkeypatch.setattr(measures, "cdl_rows", lambda vals, m0, m1: (
+            rows.append(len(m0)) or cdl_rows(vals, m0, m1)))
         assert main(online_argv()) == 0
         out = json.loads(capsys.readouterr().out)
-        assert len(calls) == 40
+        assert sum(rows) == 40 and calls == []
         for spec, curve in out["prefix_curves"].items():
             assert out["sequence_measures"][spec] == curve[-1]
-        calls.clear()
+        rows.clear()
         assert main(online_argv("--no-curves")) == 0
-        assert len(calls) == 1
+        assert rows == [] and len(calls) == 1
         assert json.loads(capsys.readouterr().out)["prefix_curves"] == {}
 
     def test_sequence_measures_match_no_curves(self, capsys):
@@ -121,10 +125,10 @@ class TestOnlineCommand:
     def test_failure_inside_the_walk_keeps_its_exit_code(
         self, command, monkeypatch, tmp_path, capsys
     ):
-        def no_memory(joint):
+        def no_memory(vals, m0, m1):
             raise MemoryError("Unable to allocate 74.5 GiB")
 
-        monkeypatch.setattr(measures, "cdl", no_memory)
+        monkeypatch.setattr(measures, "cdl_rows", no_memory)
         if command == "online":
             argv = online_argv()
         else:

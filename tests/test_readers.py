@@ -292,3 +292,35 @@ def test_row_error_in_a_late_block_names_its_line(tmp_path):
         f"{i / 10**4!r},{'x' if i == 9000 else i % 2}\n"
         for i in range(10**4)))
     refused_at(read_csv, path, "line 9002: ")
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("label-2.csv", "prediction,label\n0.4,1\n0.4,2\n", "line 3: "),
+    ("p-above-1.jsonl", '{"p": 0.4, "y": 1}\n\n{"p": 1.5, "y": 1}\n',
+     "line 3: "),
+    ("negative-weight.csv", "prediction,label,weight\n0.2,1,1\n0.4,0,-1\n",
+     "line 3: "),
+], ids=["label-2-csv", "p-above-1-jsonl", "negative-weight-csv"])
+def test_row_that_is_no_atom_names_its_file_line(tmp_path, capsys, name,
+                                                 text, message):
+    """A row that parses but breaks the joint's rules is refused by the
+    reader, with its file line, and not later by ``make``."""
+    path = tmp_path / name
+    path.write_text(text)
+    refused_at(read_csv if path.suffix == ".csv" else read_jsonl, path,
+               message + "invalid atom ")
+    err = exits_2_with_one_line(capsys, ["report", str(path)])
+    assert f"{path}, {message}invalid atom " in err
+
+
+def test_row_that_is_no_atom_in_a_late_block_names_its_line(tmp_path):
+    rows = [f'{{"p": {i / 10**4!r}, "y": {i % 2}}}\n' for i in range(10**4)]
+    rows[9000] = '{"p": 0.5, "y": 1, "w": -2.0}\n'
+    path = tmp_path / "late.jsonl"
+    path.write_text("".join(rows))
+    refused_at(read_jsonl, path, "line 9001: invalid atom (0.5, 1.0, -2.0)")
+    path = tmp_path / "late.csv"
+    path.write_text("prediction,label\n" + "".join(
+        f"{1.25 if i == 9000 else i / 10**4!r},{i % 2}\n"
+        for i in range(10**4)))
+    refused_at(read_csv, path, "line 9002: invalid atom (1.25, 0.0, 1.0)")
