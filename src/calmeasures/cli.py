@@ -362,7 +362,7 @@ def cmd_plotdata(args) -> None:
             lines.append(f"{v:.17g},{mean:.17g},{mass:.17g}")
     elif args.kind == "transcript":
         with failures(f"input {args.input}"):
-            data = json.loads(Path(args.input).read_text())
+            data = json.loads(Path(args.input).read_text("utf-8-sig"))
             transcript = Transcript(
                 tuple((float(p), parse_label(y)) for p, y in data["rounds"])
             )

@@ -47,7 +47,7 @@ class DecisionTask:
 
     @staticmethod
     def from_json(path: str | Path) -> "DecisionTask":
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
         try:
             return DecisionTask(

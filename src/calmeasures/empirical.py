@@ -94,6 +94,20 @@ def _label_rows(v: np.ndarray, labels: tuple, masses: tuple) -> np.ndarray:
     return rows.reshape(-1, 3)
 
 
+def _group_levels(
+    v: np.ndarray, y: np.ndarray, m: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The library's one grouping of atoms (v[i], y[i], m[i]) by prediction
+    value: the k sorted distinct values, exact-equal ones merged and 0.0
+    and -0.0 one level stored as 0.0; each atom's cell y k + level; and
+    the (2, k) masses of the cells, each summed in input order (counts of
+    the atoms when m is None)."""
+    vals, level = np.unique(v, return_inverse=True)
+    cell = y.astype(np.intp) * len(vals) + level
+    masses = np.bincount(cell, m, 2 * len(vals)).reshape(2, -1)
+    return vals + 0.0, cell, masses
+
+
 @dataclass(frozen=True)
 class EmpiricalJoint:
     """Finitely supported distribution over (prediction, label) pairs,
@@ -103,8 +117,9 @@ class EmpiricalJoint:
     1, and a level of -0.0 stored as 0.0.  Values differing in the last
     float bit are deliberately NOT merged; measures must tolerate
     near-duplicate prediction values.
-    :meth:`make` is the one place that groups atoms by prediction value;
-    measures read its columns through :meth:`level_sets`.
+    :meth:`make` groups atoms by prediction value through ``_group_levels``,
+    which the prefix walk of ``online.prefix_curves`` also uses; measures
+    read the columns through :meth:`level_sets`.
     """
 
     _levels: LevelSets
@@ -121,25 +136,13 @@ class EmpiricalJoint:
             v, y, m = rows[positive].T
         if not len(v):
             raise ValueError("empty joint: no atoms with positive mass")
-        # The stable sort keeps each (v, y) group in input order, so the
-        # merged masses are sequential sums in input order, and the total
-        # adds the groups in order of first occurrence.
-        order = np.lexsort((y, v))
-        v, y, m = v[order], y[order], m[order]
-        vnew = np.concatenate(([True], v[1:] != v[:-1]))
-        first = vnew | np.concatenate(([True], y[1:] != y[:-1]))
-        group = first.cumsum()
-        group -= 1
-        merged = np.bincount(group, weights=m)
-        total = sum(merged[np.argsort(order[first])].tolist())
+        vals, cell, masses = _group_levels(v, y, m)
+        # the total adds the (v, y) groups in order of first occurrence
+        first = np.sort(np.unique(cell, return_index=True)[1])
+        total = sum(masses.ravel()[cell[first]].tolist())
         if total == math.inf:
             raise ValueError("total mass overflows")
-        starts = vnew[first]
-        level = starts.cumsum() - 1
-        masses = np.zeros((2, level[-1] + 1))
-        masses[y[first].astype(np.intp), level] = merged / total
-        # + 0.0 stores a level of 0.0 and -0.0 as 0.0, whatever came first
-        return EmpiricalJoint.from_columns(v[first][starts] + 0.0, *masses)
+        return EmpiricalJoint.from_columns(vals, *(masses / total))
 
     @staticmethod
     def from_columns(
@@ -304,14 +307,9 @@ def project(instance: FiniteInstance) -> EmpiricalJoint:
 def read_csv(path: str | Path) -> EmpiricalJoint:
     """Columns prediction,label[,weight], found by name in the header, in
     any order and among any others.  The label must be the integer 0 or 1.
-    The body is parsed by one ``np.loadtxt`` call."""
-    return EmpiricalJoint.make(_csv_rows(path))
-
-
-def _csv_rows(path: str | Path) -> np.ndarray:
-    """The (n, 3) rows of a CSV file, each one an atom; the parsed body is
-    freed on return, before ``make`` runs."""
-    with open(path) as fh:
+    The body is parsed by one ``np.loadtxt`` call per block of lines (see
+    ``_parse_blocks``), as JSONL is."""
+    with open(path, encoding="utf-8-sig") as fh:
         names = [name.strip() for name in next(csv.reader([fh.readline()]))]
         col = {name: i for i, name in enumerate(names)}
         if "prediction" not in col or "label" not in col:
@@ -321,17 +319,12 @@ def _csv_rows(path: str | Path) -> np.ndarray:
         fields = [("prediction", np.float64), ("label", np.int64)]
         if "weight" in col:
             fields.append(("weight", np.float64))
-        # np.loadtxt skips empty lines, and warns when nothing is left
-        body_start = fh.tell()
-        if all(line == "\n" for line in fh):
-            raise ValueError(f"{path}: no rows")
-        fh.seek(body_start)
         load = partial(
             np.loadtxt, dtype=fields, delimiter=",", comments=None,
             quotechar='"', usecols=[col[name] for name, _ in fields], ndmin=1,
         )
 
-        def parse(lines) -> np.ndarray:
+        def parse(lines: list[str]) -> np.ndarray:
             body = load(lines)
             rows = np.ones((len(body), 3))
             for j, (name, _) in enumerate(fields):
@@ -341,16 +334,13 @@ def _csv_rows(path: str | Path) -> np.ndarray:
 
         # Some numpy versions parse "0.5" into an int64 column through
         # float, truncating it, with only a DeprecationWarning; as an error
-        # it becomes the ValueError that later versions raise
+        # it becomes the ValueError that later versions raise.  np.loadtxt
+        # skips empty lines, and warns when a block holds nothing else.
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            try:
-                return parse(fh)
-            except ValueError:
-                warnings.simplefilter("ignore", UserWarning)  # blank blocks
-                fh.seek(body_start)
-                _parse_blocks(path, fh, 2, parse)
-                raise
+            warnings.simplefilter("ignore", UserWarning)
+            rows = _parse_blocks(path, fh, 2, parse, "no rows")
+    return EmpiricalJoint.make(rows)
 
 
 # Lines parsed per call by ``_parse_blocks``, by size in characters.
@@ -363,17 +353,9 @@ def read_jsonl(path: str | Path) -> EmpiricalJoint:
     are skipped.  Each block of lines is decoded by one ``json.loads`` call
     when it has no "[" (see ``_json_objects``), else line by line, and
     copied into columns, so only one block's objects are alive."""
-    return EmpiricalJoint.make(_jsonl_rows(path))
-
-
-def _jsonl_rows(path: str | Path) -> np.ndarray:
-    """The (n, 3) rows of a JSONL file, one block of lines at a time."""
-    with open(path) as fh:
-        blocks = _parse_blocks(path, fh, 1, _jsonl_block)
-    rows = np.concatenate([np.empty((0, 3)), *blocks])
-    if not len(rows):
-        raise ValueError(f"{path}: no records")
-    return rows
+    with open(path, encoding="utf-8-sig") as fh:
+        rows = _parse_blocks(path, fh, 1, _jsonl_block, "no records")
+    return EmpiricalJoint.make(rows)
 
 
 def _jsonl_block(lines: list[str]) -> np.ndarray:
@@ -390,14 +372,17 @@ def _jsonl_block(lines: list[str]) -> np.ndarray:
     return rows
 
 
-def _parse_blocks(path: str | Path, fh, first: int, parse) -> list:
-    """``parse`` of each block of lines from ``fh`` on, file line ``first``
-    on.  A block it refuses (a missing key, a value of the wrong type, a
+def _parse_blocks(path: str | Path, fh, first: int, parse,
+                  empty: str) -> np.ndarray:
+    """The (n, 3) atom rows that ``parse`` gives for the blocks of 64 Ki
+    characters of lines from ``fh`` on, file line ``first`` on, joined; a
+    body without rows is refused with the message ``empty``.  A block
+    ``parse`` refuses (a missing key, a value of the wrong type, a
     malformed value, a JSON integer too large for a float, a row that is
-    not an atom) is parsed again line by line, for an error naming the file
-    line of the first refused."""
+    not an atom) is parsed again line by line, for an error naming the
+    file line of the first refused."""
     errors = (KeyError, TypeError, ValueError, OverflowError)
-    blocks = []
+    blocks = [np.empty((0, 3))]
     for lines in iter(partial(fh.readlines, _BLOCK), []):
         try:
             blocks.append(parse(lines))
@@ -413,7 +398,10 @@ def _parse_blocks(path: str | Path, fh, first: int, parse) -> list:
                     raise ValueError(f"{path}, line {n}: {what}") from exc
             raise
         first += len(lines)
-    return blocks
+    rows = np.concatenate(blocks)
+    if not len(rows):
+        raise ValueError(f"{path}: {empty}")
+    return rows
 
 
 def _json_objects(lines: list[str]) -> list[dict]:
@@ -451,7 +439,7 @@ def _json_objects(lines: list[str]) -> list[dict]:
 
 def read_instance_json(path: str | Path) -> FiniteInstance:
     """Array of {"id": str, "mass": float, "pred": float, "cond_mean": float}."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON array of points")

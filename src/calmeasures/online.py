@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import EmpiricalJoint, from_samples
+from .empirical import EmpiricalJoint, _group_levels, from_samples
 from .measures import resolve
 
 
@@ -220,29 +220,28 @@ def prefix_curves(
     """Sequence measure of every prefix under each ``spec: f`` of
     ``measures``, from one walk over the prefixes.
 
-    The transcript is aggregated once, into per-label counts of its k
-    distinct predictions.  The walk takes the prefixes longest first, in
-    blocks: a block holds the label masses of prefixes t = hi, hi - 1, ...
-    as the rows of two arrays m0, m1, on the w levels present at its
-    longest prefix hi, with max(1, _BLOCK_CELLS // w) rows.  An f with a
-    row form ``f.rows(vals, m0, m1)`` runs once per block; every other f
-    runs, in order, on each row's joint, built once from the row with its
-    levels of mass 0.0 dropped.  The walk starts at the longest prefix, so
-    a measure that fails on a size cap fails at its first call.  The
-    masses are the ones ``from_samples`` builds from the prefixes, bit for
-    bit: merged unit masses are exact integer counts, and their total is
-    t; the row forms give each row its joint's value, bit for bit.
+    The transcript is aggregated once, by the grouping that
+    ``EmpiricalJoint.make`` uses (``empirical._group_levels``), into
+    per-label counts of its k distinct predictions.  The walk takes the
+    prefixes longest first, in blocks: a block holds the label masses of
+    prefixes t = hi, hi - 1, ... as the rows of two arrays m0, m1, on the
+    w levels present at its longest prefix hi, with
+    max(1, _BLOCK_CELLS // w) rows.  An f with a row form
+    ``f.rows(vals, m0, m1)`` runs once per block; every other f runs, in
+    order, on each row's joint, built once from the row with its levels of
+    mass 0.0 dropped.  The walk starts at the longest prefix, so a measure
+    that fails on a size cap fails at its first call.  The masses are the
+    ones ``from_samples`` builds from the prefixes, bit for bit: merged
+    unit masses are exact integer counts, and their total is t; the row
+    forms give each row its joint's value, bit for bit.
     """
-    p, y = np.array(transcript.rounds, dtype=float).T
-    y = y.astype(np.intp)
-    distinct, level = np.unique(p, return_inverse=True)
-    distinct += 0.0  # make's value for a level of 0.0 and -0.0
+    distinct, cell, counts = _group_levels(
+        *np.array(transcript.rounds, dtype=float).T)
     k = len(distinct)
-    counts = np.bincount(y * k + level, minlength=2 * k).reshape(2, k)
     rows = {spec: f.rows for spec, f in measures.items() if hasattr(f, "rows")}
     joints = {spec: f for spec, f in measures.items() if spec not in rows}
     curves = {spec: [] for spec in measures}
-    hi = len(p)
+    hi = len(cell)
     while hi:
         present = np.flatnonzero(counts.any(axis=0))
         w = len(present)
@@ -250,10 +249,11 @@ def prefix_curves(
         t = np.arange(hi, hi - n, -1)
         # row r is prefix hi - r: the counts at hi less rounds hi - r to
         # hi - 1, summed down the rows only in the (label, level) columns
-        # that those rounds hit
+        # that those rounds hit; a round's cell y k + level is column
+        # y w + (the level's place in present) of the block
         out = np.arange(hi - 1, hi - n, -1)
-        cols, col = np.unique(
-            y[out] * w + np.searchsorted(present, level[out]),
+        cols, col = np.unique(np.searchsorted(
+            np.concatenate((present, present + k)), cell[out]),
             return_inverse=True)
         gone = np.zeros((n, len(cols)), dtype=counts.dtype)
         gone[np.arange(1, n), col] = 1
@@ -269,7 +269,7 @@ def prefix_curves(
                 joint = EmpiricalJoint.from_columns(vals, m0[r], m1[r])
                 for spec, f in joints.items():
                     curves[spec].append(tr * f(joint))
-        np.subtract.at(counts, (y[hi - n:hi], level[hi - n:hi]), 1)
+        np.subtract.at(counts.reshape(-1), cell[hi - n:hi], 1)
         hi -= n
     return {spec: curve[::-1] for spec, curve in curves.items()}
 

@@ -3,6 +3,7 @@ readers they replaced, the accepted dialect, the rejected inputs (exit 2
 with one error line), and the readers' peak memory per row."""
 
 import csv
+import hashlib
 import json
 import tracemalloc
 import warnings
@@ -324,3 +325,61 @@ def test_row_that_is_no_atom_in_a_late_block_names_its_line(tmp_path):
         f"{1.25 if i == 9000 else i / 10**4!r},{i % 2}\n"
         for i in range(10**4)))
     refused_at(read_csv, path, "line 9002: invalid atom (1.25, 0.0, 1.0)")
+
+
+BOM_INPUTS = {
+    "d.csv": ("prediction,label,weight\n0.4,1,2\n0.5,0,1\n",
+              ["report", "{}", "--measures", "ece,cdl"]),
+    "d.jsonl": ('{"p": 0.4, "y": 1, "w": 2}\n{"p": 0.5, "y": 0}\n',
+                ["report", "{}", "--measures", "ece,cdl"]),
+    "inst.json": (json.dumps([
+        {"id": "a", "mass": 2, "pred": 0.4, "cond_mean": 1.0},
+        {"id": "b", "mass": 1, "pred": 0.5, "cond_mean": 0.0}]),
+        ["oracle", "{}"]),
+    "t.json": ('{"rounds": [[0.4, 1], [0.5, 0], [0.4, 0]]}',
+               ["plotdata", "--kind", "transcript", "{}", "--measures",
+                "ece,cdl"]),
+    "task.json": ('{"actions": ["a", "b"], "payoff": [[1, 0], [0, 1]]}',
+                  ["report", "{csv}", "--measures", "cfdl:{}"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOM_INPUTS))
+def test_utf8_byte_order_mark_is_accepted(tmp_path, capsys, name):
+    """A leading UTF-8 byte-order mark, as in a spreadsheet's "CSV UTF-8"
+    export, is read past by every input; the input digest still hashes the
+    file's bytes."""
+    text, argv = BOM_INPUTS[name]
+    csv_path = tmp_path / "task-data.csv"
+    csv_path.write_text(BOM_INPUTS["d.csv"][0])
+    outputs = []
+    for stem, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path = tmp_path / f"{stem}-{name}"
+        path.write_bytes(prefix + text.encode())
+        assert main([a.format(path, csv=csv_path) for a in argv]) == 0
+        out = capsys.readouterr().out
+        if argv[0] == "plotdata":
+            outputs.append(out)
+            continue
+        payload = json.loads(out)
+        if argv[1] == "{}":
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert payload["meta"]["input_digest"] == digest
+        del payload["meta"]
+        if "measures" in payload:  # a task's spec names its path
+            payload["measures"] = list(payload["measures"].values())
+        outputs.append(payload)
+    assert outputs[0] == outputs[1]
+
+
+def test_csv_block_of_blank_lines(tmp_path):
+    """A block of the reader's 64 Ki characters that holds only empty lines
+    parses to no rows, without a warning, and lines stay counted past it."""
+    blank = "\n" * (1 << 17)
+    path = tmp_path / "blank-block.csv"
+    path.write_text(f"prediction,label,weight\n0.4,1,2\n{blank}0.5,0,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_bit_identical(read_csv(path), EXPECTED)
+    path.write_text(f"prediction,label\n0.4,1\n{blank}0.5,0\n0.6\n")
+    refused_at(read_csv, path, f"line {4 + len(blank)}: ")
