@@ -281,8 +281,8 @@ def parse_adversary(spec: str):
 def cmd_online(args) -> None:
     forecaster = parse_forecaster(args.forecaster)
     adversary = parse_adversary(args.adversary)
-    transcript = run(forecaster, adversary, args.rounds, args.seed)
     guarded = resolve_guarded(split_specs(args.measures))
+    transcript = run(forecaster, adversary, args.rounds, args.seed)
     if args.curves:
         # the last point of a curve is the sequence measure, bit for bit
         curves = prefix_curves(transcript, guarded)

@@ -9,7 +9,9 @@ V-shaped divergences, which is how :func:`cdl` evaluates it exactly.
 The fixed decision loss is computed by two independent routes: directly
 from expected payoffs (:func:`cfdl`) and through the Bregman divergence of
 the task's induced convex potential (:func:`cfdl_bregman`).  The two agree
-identically; the pairing is the module's central consistency check.
+to float precision; the pairing is the module's central consistency check.
+Both evaluate all level sets at once; the Bregman route takes potentials on
+arrays and its subgradients from the task's best responses.
 """
 
 from __future__ import annotations
@@ -133,15 +135,15 @@ class ConvexPotential:
     """Piecewise-linear convex function on [0, 1].
 
     breakpoints are segment boundaries 0 = b_0 < ... < b_k = 1; slopes has
-    one nondecreasing entry per segment.  subgrad_rule, when set, overrides
-    the default subgradient selection (used by task potentials to keep the
-    tie-breaking consistent with the best response).
+    one nondecreasing entry per segment.  value and subgradient take a
+    float or an array of points in [0, 1], each on the last segment that
+    starts at or below it (one searchsorted), so a kink takes its
+    right-hand slope.
     """
 
     breakpoints: tuple[float, ...]
     slopes: tuple[float, ...]
     value0: float = 0.0
-    subgrad_rule: Callable[[float], float] | None = None
 
     def __post_init__(self):
         bs, ss = self.breakpoints, self.slopes
@@ -154,31 +156,27 @@ class ConvexPotential:
         if any(s2 < s1 - 1e-12 for s1, s2 in zip(ss, ss[1:])):
             raise ValueError("slopes must be nondecreasing (convexity)")
 
-    def _segment(self, v: float) -> int:
-        bs = self.breakpoints
-        for i in range(len(bs) - 1):
-            if v < bs[i + 1]:
-                return i
-        return len(bs) - 2
+    def _locate(self, v):
+        """(v as an array, each point's segment)."""
+        x = np.asarray(v, dtype=float)
+        bad = ~((x >= 0.0) & (x <= 1.0))
+        if bad.any():
+            raise ValueError(f"argument {x[bad][0]} outside [0, 1]")
+        seg = np.searchsorted(self.breakpoints, x, side="right") - 1
+        return x, np.minimum(seg, len(self.slopes) - 1)
 
-    def value(self, v: float) -> float:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"argument {v} outside [0, 1]")
-        acc = self.value0
-        bs, ss = self.breakpoints, self.slopes
-        for i, s in enumerate(ss):
-            hi = min(v, bs[i + 1])
-            if hi <= bs[i]:
-                break
-            acc += s * (hi - bs[i])
-        return acc
+    def value(self, v):
+        """phi(v): phi at the segment's left breakpoint, a sum from value0
+        of slope times width in segment order, plus slope times the rest."""
+        x, seg = self._locate(v)
+        bs, ss = np.array(self.breakpoints), np.array(self.slopes)
+        left = np.cumsum(np.append(self.value0, ss[:-1] * np.diff(bs)[:-1]))
+        out = left[seg] + ss[seg] * (x - bs[seg])
+        return out if out.ndim else float(out)
 
-    def subgradient(self, v: float) -> float:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"argument {v} outside [0, 1]")
-        if self.subgrad_rule is not None:
-            return self.subgrad_rule(v)
-        return self.slopes[self._segment(v)]
+    def subgradient(self, v):
+        out = np.array(self.slopes)[self._locate(v)[1]]
+        return out if out.ndim else float(out)
 
 
 class KLPotential:
@@ -265,35 +263,28 @@ def task_potential(task: DecisionTask) -> ConvexPotential:
     """Convex potential of a task: the upper envelope of the per-action
     payoff lines v -> u(a,0) + (u(a,1) - u(a,0)) v.
 
-    The subgradient follows the task's best response (lowest-index tie
-    break), so the Bregman route reproduces the payoff route exactly.
+    At a kink its subgradient is the envelope's right-hand slope, not
+    always the slope of the task's best response there, which
+    :func:`cfdl_bregman` takes.
     """
-    u = task.payoff_matrix()
-    lines = [(float(r[1] - r[0]), float(r[0])) for r in u]
+    lines = [(float(r[1] - r[0]), float(r[0])) for r in task.payoff_matrix()]
     bounds, segs = _upper_envelope(lines)
     slopes = tuple(s for s, _ in segs)
     value0 = segs[0][1]  # first governing line evaluated at v = 0
-
-    def subgrad(v: float) -> float:
-        a = best_response(task, v)
-        return float(u[a, 1] - u[a, 0])
-
-    return ConvexPotential(
-        tuple(bounds), slopes, value0=value0, subgrad_rule=subgrad
-    )
+    return ConvexPotential(tuple(bounds), slopes, value0=value0)
 
 
 def cfdl_bregman(joint: EmpiricalJoint, task: DecisionTask) -> float:
-    """Fixed decision loss via the induced Bregman divergence between each
-    level set's recalibrated value and its prediction."""
-    phi = task_potential(task)
+    """Fixed decision loss as the sum over level sets of mass * (phi(mean)
+    - phi(v) - g (mean - v)), phi the task potential, in one array
+    expression.  g is the slope u(a,1) - u(a,0) of the best response a to
+    v (lowest index at a tie), so at a kink it is the subgradient for
+    which this route equals :func:`cfdl`."""
     ls = joint.level_sets()
-    return sum(
-        mass * bregman(phi, mean, v)
-        for v, mass, mean in zip(
-            ls.vals.tolist(), ls.mass.tolist(), ls.mean.tolist()
-        )
-    )
+    phi, u = task_potential(task), task.payoff_matrix()
+    g = (u[:, 1] - u[:, 0])[_best_responses(u, ls.vals)]
+    div = phi.value(ls.mean) - phi.value(ls.vals) - g * (ls.mean - ls.vals)
+    return float(ls.mass @ div)
 
 
 # ---------------------------------------------------------------------------

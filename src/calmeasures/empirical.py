@@ -325,6 +325,9 @@ def read_csv(path: str | Path) -> EmpiricalJoint:
         )
 
         def parse(lines: list[str]) -> np.ndarray:
+            # an odd number of quotes opens a field that runs past its line
+            if '"' in "".join(lines) and any(s.count('"') % 2 for s in lines):
+                raise ValueError("unclosed quote: a field holds a line break")
             body = load(lines)
             rows = np.ones((len(body), 3))
             for j, (name, _) in enumerate(fields):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from calmeasures import cdl, ece, read_csv, smce
+from calmeasures import cdl, cli, ece, read_csv, smce
 from calmeasures.cli import main
 
 CSV = "prediction,label\n0.3,1\n0.3,0\n0.7,1\n0.2,0\n"
@@ -209,6 +209,18 @@ class TestOnline:
             )
             == 3
         )
+
+    def test_measure_ids_resolved_before_the_episode(self, capsys,
+                                                      monkeypatch):
+        def no_episode(*args):
+            raise AssertionError("the episode was played")
+
+        monkeypatch.setattr(cli, "run", no_episode)
+        argv = ["online", "--forecaster", "running_mean", "--adversary",
+                "bernoulli:0.3", "-T", "300000", "--measures", "nope",
+                "--no-curves"]
+        assert main(argv) == 3
+        assert "measure 'nope'" in capsys.readouterr().err
 
 
 class TestFixtureCommand:

@@ -13,6 +13,7 @@ import pytest
 
 from calmeasures import FiniteInstance, from_samples
 from calmeasures.cli import main
+from calmeasures import empirical
 from calmeasures.empirical import read_csv, read_jsonl
 
 
@@ -383,3 +384,24 @@ def test_csv_block_of_blank_lines(tmp_path):
         assert_bit_identical(read_csv(path), EXPECTED)
     path.write_text(f"prediction,label\n0.4,1\n{blank}0.5,0\n0.6\n")
     refused_at(read_csv, path, f"line {4 + len(blank)}: ")
+
+
+@pytest.mark.parametrize("where", ["first-block", "block-boundary"])
+def test_csv_quoted_line_break_is_refused_where_it_opens(tmp_path, capsys,
+                                                         where):
+    """A quoted field holding a line break is refused whether it sits
+    inside one of the reader's blocks or runs across two, naming the line
+    where the quote opens."""
+    rows = [f"0.{i % 90 + 10},{i % 2},x\n" for i in range(20000)]
+    path = tmp_path / "quoted.csv"
+    path.write_text("prediction,label,note\n" + "".join(rows))
+    with open(path) as fh:
+        fh.readline()
+        boundary = len(fh.readlines(empirical._BLOCK))  # first block's lines
+    at = 10 if where == "first-block" else boundary - 1
+    rows[at:at + 2] = ['0.5,1,"a\n', 'b"\n']  # both as long as a row
+    path.write_text("prediction,label,note\n" + "".join(rows))
+    message = f"line {at + 2}: unclosed quote"
+    refused_at(read_csv, path, message)
+    assert f"{path}, {message}" in exits_2_with_one_line(
+        capsys, ["report", str(path)])
