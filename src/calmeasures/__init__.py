@@ -1,7 +1,7 @@
 """Calibration error measures for binary predictors.
 
-Library layout: :mod:`empirical` (data model, the ``LevelSets`` columns
-every measure reads, ingestion), :mod:`basic` (ECE family),
+Library layout: :mod:`empirical` (data model, the joint's level-set
+columns every measure reads, ingestion), :mod:`basic` (ECE family),
 :mod:`lipschitz` (weighted, smooth, low-degree, kernel CE and the
 earthmover distance), :mod:`decision` (decision-loss measures),
 :mod:`distance` (distance-to-calibration oracles and interval CE),

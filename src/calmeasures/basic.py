@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .empirical import EmpiricalJoint
+from .empirical import EmpiricalJoint, left_sum
 
 
 def ece(joint: EmpiricalJoint) -> float:
@@ -32,13 +32,14 @@ def ece_q_rows(
     m1[r, i] on the prediction vals[i], and a level of mass 0.0 in a row is
     not in that row's joint.
 
-    The per-level terms are summed from the left, in level order: a row's
-    absent levels add +0.0, so each row's value is its joint's, bit for bit.
-    The final power is a Python float power, as for one joint."""
+    The per-level terms of each row are added from the left, in level
+    order, by one :func:`~calmeasures.empirical.left_sum` over the rows: a
+    row's absent levels add +0.0, so each row's value is its joint's, bit
+    for bit.  The final power is a Python float power, as for one joint."""
     if not 1.0 <= q < np.inf:
         raise ValueError(f"q must be finite and >= 1, got {q}")
     mass, mean = EmpiricalJoint.row_mass_mean(m0, m1)
-    totals = (mass * np.abs(mean - vals) ** q).cumsum(axis=1)[:, -1]
+    totals = left_sum(mass * np.abs(mean - vals) ** q)
     return np.array([total ** (1.0 / q) for total in totals.tolist()])
 
 
@@ -67,13 +68,12 @@ def tv_characterization(joint: EmpiricalJoint) -> float:
 
 def tv_rows(vals: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
     """tv_characterization of each row's joint, rows as for
-    :func:`ece_q_rows`.  The two gaps of each level are summed from the
-    left, level by level, in the order ``atom_sum`` adds them."""
+    :func:`ece_q_rows`.  The gaps of each level's atoms (v, 1) and (v, 0)
+    are added from the left, level by level, by one
+    :func:`~calmeasures.empirical.left_sum` over the rows."""
     mass = m0 + m1
-    gaps = np.empty((len(m0), 2 * m0.shape[1]))
-    gaps[:, 0::2] = np.abs(m1 - mass * vals)
-    gaps[:, 1::2] = np.abs(m0 - mass * (1.0 - vals))
-    return 0.5 * gaps.cumsum(axis=1)[:, -1]
+    return 0.5 * left_sum(np.abs(m1 - mass * vals),
+                          np.abs(m0 - mass * (1.0 - vals)))
 
 
 def bucket_midpoint(v, b: int):

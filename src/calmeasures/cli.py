@@ -269,11 +269,11 @@ def parse_adversary(spec: str):
     name, _, arg = spec.partition(":")
     if name == "bernoulli":
         return BernoulliAdversary(float(arg))
-    if name == "ones":
+    if spec == "ones":
         return ConstantAdversary(1)
-    if name == "zeros":
+    if spec == "zeros":
         return ConstantAdversary(0)
-    if name == "threshold":
+    if spec == "threshold":
         return ThresholdAdversary()
     raise CliError(f"unknown adversary {spec!r}", 2)
 

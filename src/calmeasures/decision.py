@@ -24,7 +24,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .empirical import EmpiricalJoint, atom_sum
+from .empirical import EmpiricalJoint, left_sum
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def expected_payoff(
         v = vals[acts.index(None)]
         raise ValueError(f"policy undefined on support value {v}")
     u = task.payoff_matrix()[acts]
-    return atom_sum(ls.m0 * u[:, 0], ls.m1 * u[:, 1])
+    return left_sum(ls.m0 * u[:, 0], ls.m1 * u[:, 1])
 
 
 def cfdl(joint: EmpiricalJoint, task: DecisionTask) -> float:
@@ -123,7 +123,7 @@ def cfdl(joint: EmpiricalJoint, task: DecisionTask) -> float:
     ls = joint.level_sets()
     u = task.payoff_matrix()
     gain = u[_best_responses(u, ls.mean)] - u[_best_responses(u, ls.vals)]
-    return atom_sum(ls.m0 * gain[:, 0], ls.m1 * gain[:, 1])
+    return left_sum(ls.m0 * gain[:, 0], ls.m1 * gain[:, 1])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .empirical import EmpiricalJoint, FiniteInstance, atom_sum
+from .empirical import EmpiricalJoint, FiniteInstance, left_sum
 from .lipschitz import residuals
 
 DEFAULT_ORACLE_CAP = 12
@@ -104,7 +104,7 @@ class CanonicalPredictor:
         """E|v - q_B(v)| under the joint: the movement to calibration."""
         ls = joint.level_sets()
         d = np.abs(ls.vals - self._at(ls.vals))
-        return atom_sum(ls.m0 * d, ls.m1 * d)
+        return left_sum(ls.m0 * d, ls.m1 * d)
 
     def _at(self, vs: np.ndarray) -> np.ndarray:
         """q_B(v) for each of an array of values in [0, 1]."""

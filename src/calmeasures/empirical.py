@@ -23,53 +23,15 @@ from pathlib import Path
 import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
-class LevelSets(Mapping):
-    """The level sets of a joint as sorted float64 columns: the whole joint.
-
-    Per distinct prediction ``vals[i]``: the masses ``m0[i]``, ``m1[i]`` of
-    its atoms with label 0 and 1 (0.0 if absent), and the level set's
-    ``mass`` m0 + m1, ``mean`` label m1 / mass and ``residual`` m1 (1 - v) -
-    m0 v.  The columns are read-only, and equal when vals, m0 and m1 are.
-    As a Mapping it sends each v, in increasing order, to (mass, mean).
-    """
-
-    vals: np.ndarray
-    m0: np.ndarray
-    m1: np.ndarray
-    mass: np.ndarray
-    mean: np.ndarray
-    residual: np.ndarray
-
-    def __post_init__(self):
-        for col in vars(self).values():
-            col.flags.writeable = False
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LevelSets) and all(map(
-            np.array_equal, (self.vals, self.m0, self.m1),
-            (other.vals, other.m0, other.m1)))
-
-    def __hash__(self) -> int:  # masses are never -0.0 or NaN
-        return hash((self.m0.tobytes(), self.m1.tobytes()))
-
-    def __getitem__(self, v: float) -> tuple[float, float]:
-        i = int(np.searchsorted(self.vals, v))
-        if i == len(self.vals) or self.vals[i] != v:
-            raise KeyError(v)
-        return float(self.mass[i]), float(self.mean[i])
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.vals.tolist())
-
-    def __len__(self) -> int:
-        return len(self.vals)
-
-
-def atom_sum(first: np.ndarray, second: np.ndarray) -> float:
-    """first[0] + second[0] + first[1] + ... from the left, the order of the
-    atoms (v, 0), (v, 1); an absent atom's +-0.0 leaves the sum unchanged."""
-    return sum(np.column_stack((first, second)).ravel().tolist())
+def left_sum(*cols: np.ndarray):
+    """cols[0][..., 0] + cols[1][..., 0] + cols[0][..., 1] + ... from the
+    left by one ``cumsum``, as Python 3.11's ``sum`` adds the same floats,
+    on every Python (3.12's ``sum`` compensates); the + 0.0 makes a -0.0 sum
+    0.0, as ``sum`` does.  1-D columns give a float, 2-D ones a row's sum."""
+    terms = np.stack(cols, axis=-1).reshape(*cols[0].shape[:-1], -1)
+    with np.errstate(over="ignore"):  # an overflow is inf, as in ``sum``
+        total = terms.cumsum(axis=-1)[..., -1] + 0.0
+    return total if total.ndim else float(total)
 
 
 def _check_atoms(rows: np.ndarray) -> None:
@@ -108,10 +70,17 @@ def _group_levels(
     return vals + 0.0, cell, masses
 
 
-@dataclass(frozen=True)
-class EmpiricalJoint:
+@dataclass(frozen=True, eq=False)
+class EmpiricalJoint(Mapping):
     """Finitely supported distribution over (prediction, label) pairs,
-    stored as its level-set columns only.
+    stored as its level sets only: sorted, read-only float64 columns.
+
+    Per distinct prediction ``vals[i]``: the masses ``m0[i]``, ``m1[i]`` of
+    its atoms with label 0 and 1 (0.0 if absent), and the level set's
+    ``mass`` m0 + m1, ``mean`` label m1 / mass and ``residual`` m1 (1 - v) -
+    m0 v.  Joints are equal when vals, m0 and m1 are.  As a Mapping it sends
+    each v, in increasing order, to (mass, mean).  Level terms are added by
+    :func:`left_sum`.
 
     Canonical form: exact-equal (v, y) merged, masses normalized to sum to
     1, and a level of -0.0 stored as 0.0.  Values differing in the last
@@ -122,7 +91,36 @@ class EmpiricalJoint:
     read the columns through :meth:`level_sets`.
     """
 
-    _levels: LevelSets
+    vals: np.ndarray
+    m0: np.ndarray
+    m1: np.ndarray
+    mass: np.ndarray
+    mean: np.ndarray
+    residual: np.ndarray
+
+    def __post_init__(self):
+        for col in vars(self).values():
+            col.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, EmpiricalJoint) and all(map(
+            np.array_equal, (self.vals, self.m0, self.m1),
+            (other.vals, other.m0, other.m1)))
+
+    def __hash__(self) -> int:  # masses are never -0.0 or NaN
+        return hash((self.m0.tobytes(), self.m1.tobytes()))
+
+    def __getitem__(self, v: float) -> tuple[float, float]:
+        i = int(np.searchsorted(self.vals, v))
+        if i == len(self.vals) or self.vals[i] != v:
+            raise KeyError(v)
+        return float(self.mass[i]), float(self.mean[i])
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self.vals.tolist())
+
+    def __len__(self) -> int:
+        return len(self.vals)
 
     @staticmethod
     def make(atoms: Iterable[tuple[float, int, float]]) -> "EmpiricalJoint":
@@ -139,7 +137,7 @@ class EmpiricalJoint:
         vals, cell, masses = _group_levels(v, y, m)
         # the total adds the (v, y) groups in order of first occurrence
         first = np.sort(np.unique(cell, return_index=True)[1])
-        total = sum(masses.ravel()[cell[first]].tolist())
+        total = left_sum(masses.ravel()[cell[first]])
         if total == math.inf:
             raise ValueError("total mass overflows")
         return EmpiricalJoint.from_columns(vals, *(masses / total))
@@ -157,9 +155,9 @@ class EmpiricalJoint:
         if not mass.all():
             keep = mass > 0.0
             vals, m0, m1, mass = vals[keep], m0[keep], m1[keep], mass[keep]
-        return EmpiricalJoint(LevelSets(
+        return EmpiricalJoint(
             vals, m0, m1, mass, m1 / mass, m1 * (1.0 - vals) - m0 * vals
-        ))
+        )
 
     @staticmethod
     def row_mass_mean(
@@ -175,26 +173,27 @@ class EmpiricalJoint:
     @property
     def atoms(self) -> tuple[tuple[float, int, float], ...]:
         """The canonical (v, y, m) atoms in (v, y) order, rebuilt on access."""
-        ls = self._levels
-        rows = _label_rows(ls.vals, (0, 1), (ls.m0, ls.m1)).tolist()
+        rows = _label_rows(self.vals, (0, 1), (self.m0, self.m1)).tolist()
         return tuple((v, int(y), m) for v, y, m in rows if m > 0.0)
 
     @property
     def total_mass(self) -> float:
-        return atom_sum(self._levels.m0, self._levels.m1)
+        return left_sum(self.m0, self.m1)
 
     def distinct_values(self) -> list[float]:
-        return self.level_sets().vals.tolist()
+        return self.vals.tolist()
 
-    def level_sets(self) -> LevelSets:
-        """Per distinct prediction v: (mass of the level set, mean label),
-        with the columns built by :meth:`make`."""
-        return self._levels
+    def level_sets(self) -> "EmpiricalJoint":
+        """The joint itself: the level-set columns that measures read."""
+        return self
 
     def with_values(self, values: np.ndarray) -> "EmpiricalJoint":
         """The joint with level i's atoms moved to values[i], re-merged."""
-        ls = self._levels
-        return EmpiricalJoint.make(_label_rows(values, (0, 1), (ls.m0, ls.m1)))
+        return self.make(_label_rows(values, (0, 1), (self.m0, self.m1)))
+
+
+# The joint is its level-set table; ``LevelSets`` names it in that role.
+LevelSets = EmpiricalJoint
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,7 @@ class RecalibrationMap:
     """Conditional label mean per distinct prediction value of a joint,
     looked up in its level-set columns by binary search."""
 
-    levels: LevelSets
+    levels: EmpiricalJoint
 
     def __call__(self, v: float) -> float:
         return self.levels[v][1]
@@ -241,7 +240,7 @@ class FiniteInstance:
                 rows.append((str(pid), mass, pred, cond_mean))
         if not rows:
             raise ValueError("empty instance: no points with positive mass")
-        total = sum(m for _, m, _, _ in rows)
+        total = left_sum(np.array([row[1] for row in rows]))
         if total == math.inf:
             raise ValueError("total mass overflows")
         return FiniteInstance(

@@ -192,6 +192,18 @@ class TestOnline:
             == 2
         )
 
+    @pytest.mark.parametrize("spec,code", [
+        ("ones", 0), ("zeros", 0), ("threshold", 0),
+        ("ones:5", 2), ("zeros:x", 2), ("threshold:0.3", 2),
+    ])
+    def test_adversary_without_parameters_refuses_one(self, spec, code,
+                                                      capsys):
+        argv = ["online", "--forecaster", "constant:0.5", "--adversary",
+                spec, "-T", "5", "--no-curves"]
+        assert main(argv) == code
+        err = capsys.readouterr().err.splitlines()
+        assert err == ([f"error: unknown adversary {spec!r}"] if code else [])
+
     def test_unknown_measure_exit_3(self, capsys):
         assert (
             main(

@@ -3,6 +3,8 @@
 lexsort grouping it replaced, kept here as the reference."""
 
 import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ def reference_make(atoms):
     first = vnew | np.concatenate(([True], y[1:] != y[:-1]))
     group = first.cumsum() - 1
     merged = np.bincount(group, weights=m)
-    total = sum(merged[np.argsort(order[first])].tolist())
+    total = reduce(operator.add, merged[np.argsort(order[first])].tolist(), 0)
     starts = vnew[first]
     level = starts.cumsum() - 1
     masses = np.zeros((2, level[-1] + 1))

@@ -1,11 +1,16 @@
 """The level-set columns as the joint's only stored form: every path that
 moves or weighs atoms agrees bit for bit with the per-atom Python code it
 replaced, at k = 10^3 levels with float-step neighbours, one-label levels
-and zero weights; the joint read from a CSV of distinct scores stays small;
+and zero weights, and keeps its bits under Python 3.12's compensated
+``sum``; the joint read from a CSV of distinct scores stays small;
 recalibration lookups use the columns."""
 
+import builtins
 import math
+import operator
 import tracemalloc
+import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -28,6 +33,7 @@ from calmeasures import (
     threshold_task,
     tv_characterization,
 )
+from calmeasures.empirical import left_sum
 
 K = 1000
 
@@ -80,7 +86,7 @@ def atom_tv(joint):
     for v, mass in zip(ls.vals.tolist(), ls.mass.tolist()):
         for y, share in ((1, v), (0, 1.0 - v)):
             pairs.append((obs.get((v, y), 0.0), mass * share))
-    return 0.5 * sum(abs(a - b) for a, b in pairs)
+    return 0.5 * reduce(operator.add, (abs(a - b) for a, b in pairs), 0)
 
 
 def atom_midpoint(v, b):
@@ -163,7 +169,8 @@ def test_canonical_predictor(joint, breakpoints):
     q = canonical_predictor(joint, IntervalPartition(breakpoints))
     ref = EmpiricalJoint.make((q(v), y, m) for v, y, m in joint.atoms)
     assert same_joint(q.apply(joint), ref)
-    shift = sum(m * abs(v - q(v)) for v, _, m in joint.atoms)
+    shift = reduce(operator.add,
+                   (m * abs(v - q(v)) for v, _, m in joint.atoms), 0)
     assert same(q.l1_shift(joint), shift)
 
 
@@ -183,7 +190,74 @@ def test_project():
 
 
 def test_total_mass(joint):
-    assert same(joint.total_mass, sum(m for _, _, m in joint.atoms))
+    assert same(joint.total_mass,
+                reduce(operator.add, (m for _, _, m in joint.atoms), 0))
+
+
+PLAIN_SUM = builtins.sum
+
+
+def neumaier_sum(xs, start=0):
+    """CPython 3.12's ``sum`` of floats: Neumaier-compensated, with the
+    compensation added at the end only when it is nonzero and finite."""
+    xs = list(xs)
+    if not all(type(x) is float for x in xs):
+        return PLAIN_SUM(xs, start)
+    total, c = float(start), 0.0
+    for x in xs:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_level_sums_keep_their_bits_under_a_compensated_sum(
+        joint, monkeypatch):
+    """The level terms are added from the left by ``left_sum``, not by the
+    builtin ``sum``, so Python 3.12's compensated ``sum`` changes no bit."""
+    rng = np.random.default_rng(7)
+    atoms = joint.atoms
+    weights = rng.uniform(0.5, 3.0, len(atoms)).tolist()
+    weighted = [(v, y, m * w) for (v, y, m), w in zip(atoms, weights)]
+    points = [(f"x{i}", w, v, float(y))
+              for i, ((v, y, _), w) in enumerate(zip(atoms, weights))]
+    vals = joint.level_sets().vals.tolist()
+    task = quadratic_task(50)
+    policy = {v: best_response(task, 1.0 - v) for v in vals}
+    q = canonical_predictor(joint, IntervalPartition.uniform(7))
+
+    def values():
+        made = [EmpiricalJoint.make(weighted),
+                project(FiniteInstance.make(points))]
+        return [getattr(j, col).tobytes() for j in made
+                for col in ("vals", "m0", "m1", "mass", "mean", "residual")
+                ] + [float(x).hex() for x in (
+            joint.total_mass, cfdl(joint, threshold_task(0.37)),
+            cfdl(joint, quadratic_task()),
+            expected_payoff(joint, task, policy), q.l1_shift(joint),
+            tv_characterization(joint), ece(joint))]
+
+    want = values()
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    assert neumaier_sum([1e16, 1.0, -1e16]) == 1.0
+    assert values() == want
+
+
+def test_left_sum_adds_from_the_left():
+    assert left_sum(np.array([1e16, 1.0, -1e16])) == 0.0
+    for total in (left_sum(np.full(3, -0.0)),
+                  left_sum(np.full(3, -0.0), np.full(3, -0.0))):
+        assert total == 0.0 and math.copysign(1.0, total) == 1.0
+    rng = np.random.default_rng(8)
+    a, b = rng.uniform(-1.0, 1.0, (2, 50)) * 10.0 ** rng.integers(-8, 9, 50)
+    total = left_sum(a, b)
+    assert type(total) is float
+    assert same(total, reduce(operator.add, np.column_stack(
+        (a, b)).ravel().tolist(), 0))
+    assert same(left_sum(a[None], b[None])[0], total)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert left_sum(np.array([1e308, 1e308])) == math.inf
 
 
 def test_atoms_view_is_canonical(joint):

@@ -2,7 +2,9 @@
 against plain-Python aggregation at k = 10^2 and 10^3 distinct predictions,
 near-duplicates included, and the relation chain at those sizes."""
 
+import operator
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ def reference_atoms(raw):
     for v, y, m in raw:
         if m > 0.0:
             merged[(v, y)] = merged.get((v, y), 0.0) + m
-    total = sum(merged.values())
+    total = reduce(operator.add, merged.values(), 0)
     return tuple((v, y, m / total) for (v, y), m in sorted(merged.items()))
 
 
