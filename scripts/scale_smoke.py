@@ -2,11 +2,15 @@
 
 Usage: python scripts/scale_smoke.py
 
-Writes, to a temporary directory, a CSV and a JSONL file of ROWS Beta(2, 3)
-scores rounded to 2 decimals, and a CSV of ROWS distinct full-precision
-Beta(2, 3) scores, all with Bernoulli labels, and runs them through
-calmeasures.cli.  The 2-decimal files get the default report with
---verify-relations.  The distinct-score file gets DISTINCT_MEASURES, the
+Writes, to a temporary directory, a CSV and two JSONL files of ROWS
+Beta(2, 3) scores rounded to 2 decimals, and a CSV of ROWS distinct
+full-precision Beta(2, 3) scores, all with Bernoulli labels, and runs them
+through calmeasures.cli.  One JSONL file is in the layout ``json.dumps``
+writes, {"p": 0.42, "y": 1}, which the reader decodes as one flat array of
+numbers per block; the other is compact, {"p":0.42,"y":1}, which takes the
+reader's object path.  The 2-decimal files get the default report with
+--verify-relations, and must report the same values, bit for bit; the read
+time of each JSONL file is printed.  The distinct-score file gets DISTINCT_MEASURES, the
 measures that are near-linear in the number of distinct predictions, with
 --verify-relations too, and must report finite values and tv equal to ece.
 A CSV of CHAIN_ROWS distinct Beta(2, 3) scores gets CHAIN_MEASURES, the
@@ -33,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from calmeasures.cli import main as calmeasure
+from calmeasures.empirical import read_jsonl
 
 ROWS = 10**6
 SEED = 0
@@ -46,10 +51,16 @@ LARGE_K_ARGS = ["online", "--forecaster", "running_mean", "--adversary",
                 "bernoulli:0.7", "-T", "6000", "--measures", "ece,ece2,tv,cdl"]
 
 
+# The 2-decimal files, which must give the same report.
+SAME_VALUES = ("scores.csv", "scores.jsonl", "scores-compact.jsonl")
+
+
 def write_rows(path: Path, p: np.ndarray, y: np.ndarray) -> None:
     pairs = list(zip(p.tolist(), y.tolist()))
     if path.suffix == ".csv":
         text = "prediction,label\n" + "".join(f"{a!r},{b}\n" for a, b in pairs)
+    elif path.stem.endswith("-compact"):
+        text = "".join(f'{{"p":{a!r},"y":{b}}}\n' for a, b in pairs)
     else:
         text = "".join(f'{{"p": {a!r}, "y": {b}}}\n' for a, b in pairs)
     path.write_text(text)
@@ -61,7 +72,7 @@ def write_inputs(work: Path) -> list[tuple[Path, list[str]]]:
     runs = []
     p = np.round(rng.beta(2.0, 3.0, ROWS), 2)
     y = (rng.random(ROWS) < p).astype(np.int64)
-    for name in ("scores.csv", "scores.jsonl"):
+    for name in SAME_VALUES:
         write_rows(work / name, p, y)
         runs.append((work / name, ["--verify-relations"]))
     p = rng.beta(2.0, 3.0, ROWS)
@@ -121,14 +132,32 @@ def curves_end_at_no_curves(work: Path) -> bool:
         curves[m][-1] == ends[m] for m in ends)
 
 
+def output(path: Path) -> Path:
+    """Where the report on the input ``path`` is written."""
+    return path.with_name(path.name + ".out.json")
+
+
+def same_values(work: Path) -> bool:
+    """Whether the SAME_VALUES files reported the same values, bit for bit,
+    after printing the read time of each JSONL file."""
+    for name in SAME_VALUES[1:]:
+        start = time.perf_counter()
+        read_jsonl(work / name)
+        print(f"read_jsonl {name}: {time.perf_counter() - start:.2f} s")
+    reports = [json.loads(output(work / name).read_text())
+               for name in SAME_VALUES]
+    values = [{m: v.hex() for m, v in r["measures"].items()} for r in reports]
+    return all(v == values[0] for v in values)
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         runs = write_inputs(Path(tmp))
         ok = all([
-            run(path.name, ["report", str(path), *options],
-                path.with_suffix(".out.json"))
+            run(path.name, ["report", str(path), *options], output(path))
             for path, options in runs
         ])
+        ok = ok and same_values(Path(tmp))
         ok &= run(f"online -T {ROUNDS}",
                   ["online", "-T", str(ROUNDS), *ONLINE_ARGS],
                   Path(tmp) / "online.out.json")

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 from . import __version__
@@ -105,9 +106,14 @@ def _render(obj) -> str:
         )
         return "{" + inner + "}"
     if isinstance(obj, (list, tuple)):
-        # flat float lists (prefix curves) skip one call per value
+        # flat float lists (prefix curves) and [float, int] pairs (online
+        # rounds) are rendered by one % format per list
         if all(type(v) is float for v in obj):
-            return "[" + ",".join(format(v, ".17g") for v in obj) + "]"
+            return ("[" + ",".join(["%.17g"] * len(obj)) + "]") % tuple(obj)
+        if all(type(v) in (list, tuple) and len(v) == 2
+               and type(v[0]) is float and type(v[1]) is int for v in obj):
+            return ("[" + ",".join(["[%.17g,%d]"] * len(obj)) + "]") % tuple(
+                chain.from_iterable(obj))
         return "[" + ",".join(_render(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)}")
 

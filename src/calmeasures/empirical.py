@@ -136,7 +136,9 @@ class EmpiricalJoint(Mapping):
             raise ValueError("empty joint: no atoms with positive mass")
         vals, cell, masses = _group_levels(v, y, m)
         # the total adds the (v, y) groups in order of first occurrence
-        first = np.sort(np.unique(cell, return_index=True)[1])
+        first = np.full(masses.size, len(cell))
+        np.minimum.at(first, cell, np.arange(len(cell)))
+        first = np.sort(first[first < len(cell)])
         total = left_sum(masses.ravel()[cell[first]])
         if total == math.inf:
             raise ValueError("total mass overflows")
@@ -261,12 +263,13 @@ def from_samples(
     pairs: Sequence[tuple[float, int]],
     weights: Sequence[float] | None = None,
 ) -> EmpiricalJoint:
-    """Build a canonical joint from (prediction, label) samples.
+    """Build a canonical joint from (prediction, label) samples, given as
+    pairs or as an (n, 2) array.
 
     Unweighted input gets uniform mass 1/n; weights are normalized by their
     sum, so they are scale invariant.
     """
-    if not pairs:
+    if not len(pairs):
         raise ValueError("empty input")
     rows = np.ones((len(pairs), 3))
     rows[:, :2] = pairs
@@ -348,13 +351,23 @@ def read_csv(path: str | Path) -> EmpiricalJoint:
 # Lines parsed per call by ``_parse_blocks``, by size in characters.
 _BLOCK = 1 << 16
 _scan_json = json.JSONDecoder().scan_once
+# The record layouts ``json.dumps`` writes, unweighted and weighted, each as
+# the separators that every line holds once, the first one anchored to the
+# line start: a line is its separators with a JSON number between each two.
+_LAYOUTS = ((b'\n{"p": ', b', "y": ', b"}\n"),
+            (b'\n{"p": ', b', "y": ', b', "w": ', b"}\n"))
+_NUMBER_BYTES = b"0123456789.eE+-"
+_COMMAS = bytes.maketrans(b"\n", b",")
 
 
 def read_jsonl(path: str | Path) -> EmpiricalJoint:
     """One object {"p": float, "y": 0|1, "w": float?} per line; blank lines
-    are skipped.  Each block of lines is decoded by one ``json.loads`` call
-    when it has no "[" (see ``_json_objects``), else line by line, and
-    copied into columns, so only one block's objects are alive."""
+    are skipped.  A block of lines all in the layout ``json.dumps`` writes,
+    {"p": P, "y": Y} or {"p": P, "y": Y, "w": W}, is decoded as one flat
+    JSON array of numbers (see ``_fixed_layout_rows``); any other block by
+    one ``json.loads`` call when it has no "[" (see ``_json_objects``), else
+    line by line.  Each block is copied into columns, so only one block's
+    values are alive."""
     with open(path, encoding="utf-8-sig") as fh:
         rows = _parse_blocks(path, fh, 1, _jsonl_block, "no records")
     return EmpiricalJoint.make(rows)
@@ -363,14 +376,61 @@ def read_jsonl(path: str | Path) -> EmpiricalJoint:
 def _jsonl_block(lines: list[str]) -> np.ndarray:
     """The (n, 3) rows of the objects on ``lines``, each one an atom; blank
     lines skipped."""
+    rows = _fixed_layout_rows(lines)
+    if rows is None:
+        rows = _object_rows(lines)
+    _check_atoms(rows)
+    return rows
+
+
+def _object_rows(lines: list[str]) -> np.ndarray:
+    """The (n, 3) rows (p, y, w or 1.0) of the JSON objects on ``lines``,
+    blank lines skipped: the path of a JSONL block that
+    ``_fixed_layout_rows`` does not take."""
     objs = _json_objects(list(filter(None, map(str.strip, lines))))
-    rows = np.column_stack([
+    return np.column_stack([
         np.fromiter(map(itemgetter("p"), objs), float, len(objs)),
         np.fromiter(map(itemgetter("y"), objs), float, len(objs)),
         np.fromiter(map(dict.get, objs, repeat("w"), repeat(1.0)),
                     float, len(objs)),
     ])
-    _check_atoms(rows)
+
+
+def _fixed_layout_rows(lines: list[str]) -> np.ndarray | None:
+    """The rows ``_object_rows`` gives for ``lines`` when every line is
+    in one of the ``_LAYOUTS``, without building a dict per line; else
+    None, also on any failure, which ``_object_rows`` then meets again.
+
+    Four conditions make the two paths agree bit for bit.  The text with
+    the bytes of ``_NUMBER_BYTES`` deleted must be the layout's skeleton n
+    times.  Each separator must occur n times in the text after a leading
+    line break, so no number byte sits before a line's "{", inside a key
+    or after its "}" (where it would merge into a neighbouring number).
+    The keys deleted and the line breaks made commas, the text is then
+    decoded by ``json.loads`` as one flat array, so the number grammar and
+    every value are those of the object path: 01, .5, +1 and 1. fail, and
+    NaN never passes the skeleton.  The numbers become floats by the same
+    ``np.fromiter``, so a 400-digit integer still overflows.
+    """
+    text = "\n" + "".join(lines)
+    if not text.endswith("\n"):
+        text += "\n"
+    body, n = text.encode(), len(lines)
+    skeleton = body.translate(None, _NUMBER_BYTES)
+    for seps in _LAYOUTS:
+        if skeleton[1:] == b"".join(seps)[1:] * n and all(
+                body.count(sep) == n for sep in seps):
+            break
+    else:
+        return None
+    try:
+        flat = body[1:-1].translate(_COMMAS, b'{"pyw: }')
+        values = json.loads(b"[" + flat + b"]")
+        rows, width = np.ones((n, 3)), len(seps) - 1
+        rows[:, :width] = np.fromiter(
+            values, float, len(values)).reshape(n, width)
+    except (ValueError, OverflowError):
+        return None
     return rows
 
 
@@ -407,7 +467,8 @@ def _parse_blocks(path: str | Path, fh, first: int, parse,
 
 
 def _json_objects(lines: list[str]) -> list[dict]:
-    """The JSON object on each of ``lines``.
+    """The JSON object on each of ``lines``: the object path, for a block
+    that ``_fixed_layout_rows`` did not take.
 
     All lines are decoded in one call, joined by a comma and a newline.  A
     raw newline cannot sit inside a JSON string, so a value could only run

@@ -65,3 +65,18 @@ def per_value(obj) -> str:
 ])
 def test_flat_float_lists_render_as_per_value(obj):
     assert cli._render(obj) == per_value(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    [[0.5, 1], [5e-324, 0], [-0.0, 1], [float("nan"), 0]],
+    [(0.25, 0), (1e308, 1)],
+    [[0.5, 10**20], [float("inf"), -3]],
+    [[0.5, True]],
+    [[1, 0.5]],
+    [[0.5, 1.0]],
+    [[np.float64(0.5), 1]],
+    [[0.5, 1, 2], [0.5, 1]],
+    [[0.5, 1], 0.25],
+])
+def test_float_int_pairs_render_as_per_value(obj):
+    assert cli._render(obj) == per_value(obj)

@@ -75,6 +75,15 @@ class TestFromSamples:
         b = from_samples(pairs, [10.0, 30.0])
         assert a == b
 
+    def test_arrays_and_lists_give_equal_joints(self):
+        pairs = [(0.2, 1), (0.4, 0), (0.2, 1), (0.9, 0)]
+        weights = [1.0, 3.0, 0.5, 2.0]
+        assert from_samples(np.array(pairs)) == from_samples(pairs)
+        assert (from_samples(np.array(pairs), np.array(weights))
+                == from_samples(pairs, weights))
+        with pytest.raises(ValueError, match="empty input"):
+            from_samples(np.empty((0, 2)))
+
     def test_errors(self):
         with pytest.raises(ValueError):
             from_samples([])
