@@ -51,7 +51,6 @@ from .distance import (
 from .empirical import (
     EmpiricalJoint,
     FiniteInstance,
-    LevelSets,
     RecalibrationMap,
     from_samples,
     project,

@@ -21,8 +21,7 @@ def ece(joint: EmpiricalJoint) -> float:
 def ece_q(joint: EmpiricalJoint, q: float) -> float:
     """L^q version: E[|E[y|v] - v|^q]^(1/q), for finite q >= 1; the
     one-row call of :func:`ece_q_rows`."""
-    ls = joint.level_sets()
-    return float(ece_q_rows(ls.vals, ls.m0[None], ls.m1[None], q)[0])
+    return float(ece_q_rows(joint.vals, joint.m0[None], joint.m1[None], q)[0])
 
 
 def ece_q_rows(
@@ -50,9 +49,8 @@ def surrogate_masses(
 
     The surrogate splits each level set's mass v : (1 - v) between labels.
     """
-    ls = joint.level_sets()
     out = {}
-    cols = (ls.vals, ls.m0, ls.m1, ls.mass)
+    cols = (joint.vals, joint.m0, joint.m1, joint.mass)
     for v, m0, m1, mass in zip(*(col.tolist() for col in cols)):
         out[(v, 1)], out[(v, 0)] = (m1, mass * v), (m0, mass * (1.0 - v))
     return out
@@ -62,8 +60,7 @@ def tv_characterization(joint: EmpiricalJoint) -> float:
     """Total variation between the joint and its Bernoulli surrogate, from
     the per-label masses and not the mean column.  Equals ece(joint); the
     one-row call of :func:`tv_rows`."""
-    ls = joint.level_sets()
-    return float(tv_rows(ls.vals, ls.m0[None], ls.m1[None])[0])
+    return float(tv_rows(joint.vals, joint.m0[None], joint.m1[None])[0])
 
 
 def tv_rows(vals: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
@@ -94,7 +91,7 @@ def binned_ece(joint: EmpiricalJoint, b: int) -> float:
     """
     if b < 1:
         raise ValueError(f"number of buckets must be >= 1, got {b}")
-    return ece(joint.with_values(bucket_midpoint(joint.level_sets().vals, b)))
+    return ece(joint.with_values(bucket_midpoint(joint.vals, b)))
 
 
 def sign_witness_ce(joint: EmpiricalJoint, signs: dict[float, int]) -> float:

@@ -314,8 +314,6 @@ def cmd_online(args) -> None:
 
 
 def build_fixture(name: str, eps: float, n: int) -> list[Fixture]:
-    if name not in FIXTURES:
-        raise CliError(f"unknown fixture {name!r}", 2)
     if name == "cdl_example_2":
         made = FIXTURES[name](eps, n)
     else:
@@ -361,9 +359,8 @@ def cmd_plotdata(args) -> None:
     if args.kind == "reliability":
         joint, _ = load_joint(args.input)
         lines.append("prediction,conditional_mean,mass")
-        ls = joint.level_sets()
         for v, mean, mass in zip(
-            ls.vals.tolist(), ls.mean.tolist(), ls.mass.tolist()
+            joint.vals.tolist(), joint.mean.tolist(), joint.mass.tolist()
         ):
             lines.append(f"{v:.17g},{mean:.17g},{mass:.17g}")
     elif args.kind == "transcript":

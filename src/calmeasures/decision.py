@@ -107,23 +107,21 @@ def expected_payoff(
 ) -> float:
     """E[u(policy(v), y)] over the joint; the policy is asked once per
     distinct prediction."""
-    ls = joint.level_sets()
-    vals = ls.vals.tolist()
+    vals = joint.vals.tolist()
     acts = [(policy if callable(policy) else policy.get)(v) for v in vals]
     if None in acts:
         v = vals[acts.index(None)]
         raise ValueError(f"policy undefined on support value {v}")
     u = task.payoff_matrix()[acts]
-    return left_sum(ls.m0 * u[:, 0], ls.m1 * u[:, 1])
+    return left_sum(joint.m0 * u[:, 0], joint.m1 * u[:, 1])
 
 
 def cfdl(joint: EmpiricalJoint, task: DecisionTask) -> float:
     """Payoff gained by best-responding to the recalibration instead of
     the raw predictions."""
-    ls = joint.level_sets()
-    u = task.payoff_matrix()
-    gain = u[_best_responses(u, ls.mean)] - u[_best_responses(u, ls.vals)]
-    return left_sum(ls.m0 * gain[:, 0], ls.m1 * gain[:, 1])
+    u, v = task.payoff_matrix(), joint.vals
+    gain = u[_best_responses(u, joint.mean)] - u[_best_responses(u, v)]
+    return left_sum(joint.m0 * gain[:, 0], joint.m1 * gain[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +278,11 @@ def cfdl_bregman(joint: EmpiricalJoint, task: DecisionTask) -> float:
     expression.  g is the slope u(a,1) - u(a,0) of the best response a to
     v (lowest index at a tie), so at a kink it is the subgradient for
     which this route equals :func:`cfdl`."""
-    ls = joint.level_sets()
+    v, mean = joint.vals, joint.mean
     phi, u = task_potential(task), task.payoff_matrix()
-    g = (u[:, 1] - u[:, 0])[_best_responses(u, ls.vals)]
-    div = phi.value(ls.mean) - phi.value(ls.vals) - g * (ls.mean - ls.vals)
-    return float(ls.mass @ div)
+    g = (u[:, 1] - u[:, 0])[_best_responses(u, v)]
+    div = phi.value(mean) - phi.value(v) - g * (mean - v)
+    return left_sum(joint.mass * div)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +306,7 @@ def cdl(joint: EmpiricalJoint) -> float:
     """sup over vstar of the mass-weighted V-shaped divergence between
     recalibrated values and predictions, by one sort and one sweep; the
     one-row call of :func:`cdl_rows`, where the sweep is described."""
-    ls = joint.level_sets()
-    return float(cdl_rows(ls.vals, ls.m0[None], ls.m1[None])[0])
+    return float(cdl_rows(joint.vals, joint.m0[None], joint.m1[None])[0])
 
 
 def cdl_rows(vals: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:

@@ -74,8 +74,7 @@ class IntervalPartition:
 
 def ce_partition(joint: EmpiricalJoint, part: IntervalPartition) -> float:
     """Sum over intervals of |E[(y - v) 1(v in I_j)]|."""
-    ls = joint.level_sets()
-    res = np.bincount(part.indices(ls.vals), ls.residual, len(part))
+    res = np.bincount(part.indices(joint.vals), joint.residual, len(part))
     return float(np.abs(res).sum())
 
 
@@ -98,13 +97,12 @@ class CanonicalPredictor:
         return self.values[self.partition.index(v)]
 
     def apply(self, joint: EmpiricalJoint) -> EmpiricalJoint:
-        return joint.with_values(self._at(joint.level_sets().vals))
+        return joint.with_values(self._at(joint.vals))
 
     def l1_shift(self, joint: EmpiricalJoint) -> float:
         """E|v - q_B(v)| under the joint: the movement to calibration."""
-        ls = joint.level_sets()
-        d = np.abs(ls.vals - self._at(ls.vals))
-        return left_sum(ls.m0 * d, ls.m1 * d)
+        d = np.abs(joint.vals - self._at(joint.vals))
+        return left_sum(joint.m0 * d, joint.m1 * d)
 
     def _at(self, vs: np.ndarray) -> np.ndarray:
         """q_B(v) for each of an array of values in [0, 1]."""
@@ -114,10 +112,9 @@ class CanonicalPredictor:
 def canonical_predictor(
     joint: EmpiricalJoint, part: IntervalPartition
 ) -> CanonicalPredictor:
-    ls = joint.level_sets()
-    j = part.indices(ls.vals)
-    mass = np.bincount(j, ls.mass, len(part)).tolist()
-    ymass = np.bincount(j, ls.mass * ls.mean, len(part)).tolist()
+    j = part.indices(joint.vals)
+    mass = np.bincount(j, joint.mass, len(part)).tolist()
+    ymass = np.bincount(j, joint.mass * joint.mean, len(part)).tolist()
     values = tuple(
         y / m if m > 0.0 else part.midpoint(i)
         for i, (m, y) in enumerate(zip(mass, ymass))
@@ -266,5 +263,4 @@ def dce_upper_oracle(
 ) -> float:
     """Exact minimum l1 movement over calibrated post-processings of the
     joint's distinct prediction values."""
-    ls = joint.level_sets()
-    return _min_partition_cost(ls.mass, ls.vals, ls.mean, cap)
+    return _min_partition_cost(joint.mass, joint.vals, joint.mean, cap)

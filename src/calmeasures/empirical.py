@@ -27,8 +27,12 @@ def left_sum(*cols: np.ndarray):
     """cols[0][..., 0] + cols[1][..., 0] + cols[0][..., 1] + ... from the
     left by one ``cumsum``, as Python 3.11's ``sum`` adds the same floats,
     on every Python (3.12's ``sum`` compensates); the + 0.0 makes a -0.0 sum
-    0.0, as ``sum`` does.  1-D columns give a float, 2-D ones a row's sum."""
-    terms = np.stack(cols, axis=-1).reshape(*cols[0].shape[:-1], -1)
+    0.0, as ``sum`` does.  1-D columns give a float, 2-D ones a row's sum.
+    The library's one way to add level terms: no measure adds them by a
+    BLAS matrix or dot product, whose order of additions depends on the
+    CPU.  One column is summed as it is, with no interleaving copy."""
+    terms = cols[0] if len(cols) == 1 else np.stack(cols, axis=-1).reshape(
+        *cols[0].shape[:-1], -1)
     with np.errstate(over="ignore"):  # an overflow is inf, as in ``sum``
         total = terms.cumsum(axis=-1)[..., -1] + 0.0
     return total if total.ndim else float(total)
@@ -88,7 +92,7 @@ class EmpiricalJoint(Mapping):
     near-duplicate prediction values.
     :meth:`make` groups atoms by prediction value through ``_group_levels``,
     which the prefix walk of ``online.prefix_curves`` also uses; measures
-    read the columns through :meth:`level_sets`.
+    read these columns directly.
     """
 
     vals: np.ndarray
@@ -186,16 +190,13 @@ class EmpiricalJoint(Mapping):
         return self.vals.tolist()
 
     def level_sets(self) -> "EmpiricalJoint":
-        """The joint itself: the level-set columns that measures read."""
+        """The joint itself, for callers of the older name: measures read
+        its columns directly."""
         return self
 
     def with_values(self, values: np.ndarray) -> "EmpiricalJoint":
         """The joint with level i's atoms moved to values[i], re-merged."""
         return self.make(_label_rows(values, (0, 1), (self.m0, self.m1)))
-
-
-# The joint is its level-set table; ``LevelSets`` names it in that role.
-LevelSets = EmpiricalJoint
 
 
 @dataclass(frozen=True)
@@ -282,12 +283,12 @@ def from_samples(
 
 def recalibrate(joint: EmpiricalJoint) -> RecalibrationMap:
     """Map each distinct prediction value v to E[y | v] under the joint."""
-    return RecalibrationMap(joint.level_sets())
+    return RecalibrationMap(joint)
 
 
 def recalibrated_joint(joint: EmpiricalJoint) -> EmpiricalJoint:
     """Replace each atom's prediction by its recalibrated value and re-merge."""
-    return joint.with_values(joint.level_sets().mean)
+    return joint.with_values(joint.mean)
 
 
 def project(instance: FiniteInstance) -> EmpiricalJoint:

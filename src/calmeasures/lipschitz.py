@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .empirical import EmpiricalJoint
+from .empirical import EmpiricalJoint, left_sum
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,7 @@ class WeightFunction:
 
 def residuals(joint: EmpiricalJoint) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct values and their residual masses c_v = sum m (y - v)."""
-    ls = joint.level_sets()
-    return ls.vals, ls.residual
+    return joint.vals, joint.residual
 
 
 def weighted_ce(joint: EmpiricalJoint, w: WeightFunction) -> float:
@@ -65,7 +64,7 @@ def weighted_ce(joint: EmpiricalJoint, w: WeightFunction) -> float:
             raise ValueError(
                 f"weight function evaluates to {wv} outside [-1, 1] at v={v}"
             )
-    return abs(float(np.dot(ws, rs)))
+    return abs(left_sum(np.multiply(ws, rs)))
 
 
 def _chain_dp(vals: np.ndarray, cs: np.ndarray, lipschitz: int) -> float:
@@ -191,12 +190,14 @@ def low_degree_ce(joint: EmpiricalJoint, d: int) -> float:
     """Weighted CE over degree-d polynomials with l1 coefficient norm <= 1.
 
     The objective is linear in the coefficients, so the maximum sits at a
-    signed monomial vertex: max over 0 <= k <= d of |E[v^k (y - v)]|.
+    signed monomial vertex: max over 0 <= k <= d of |E[v^k (y - v)]|, each
+    a row of one :func:`~calmeasures.empirical.left_sum` of level terms.
     """
     if d < 0:
         raise ValueError(f"degree must be >= 0, got {d}")
-    ls = joint.level_sets()
-    return max(abs(float(ls.vals**k @ ls.residual)) for k in range(d + 1))
+    vals, rs = joint.vals, joint.residual
+    sums = left_sum(np.array([vals**k * rs for k in range(d + 1)]))
+    return float(np.abs(sums).max())
 
 
 def laplace_kernel(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -215,7 +216,12 @@ def kernel_ce(
     kernel: str | Callable[[np.ndarray, np.ndarray], np.ndarray] = "laplace",
 ) -> float:
     """RKHS-unit-ball maximum of E[w(v)(y - v)]: sqrt of the Gram quadratic
-    form of the residual signed measure on the distinct predictions."""
+    form of the residual signed measure on the distinct predictions.
+
+    The form sum_i r_i sum_j K_ij r_j is added by
+    :func:`~calmeasures.empirical.left_sum`, each inner sum first, with no
+    BLAS product.  The Gram matrix is rebound to its product with r, so at
+    most two k x k arrays are alive at once."""
     if isinstance(kernel, str) and kernel not in _KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     kfun = _KERNELS[kernel] if isinstance(kernel, str) else kernel
@@ -226,6 +232,7 @@ def kernel_ce(
         raise ValueError(
             f"kernel Gram matrix not PSD on support (min eig {eigs.min()})"
         )
-    quad = float(rs @ gram @ rs)
+    gram = gram * rs
+    quad = left_sum(rs * left_sum(gram))
     return math.sqrt(max(quad, 0.0))
 

@@ -6,13 +6,21 @@ piecewise-linear DP that rebuilt its breakpoint array at every level, and
 the interval DP over single prediction values.
 """
 
-import time
+import heapq
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from calmeasures import ece, emd_joints, from_samples, intce_opt, smce
+from calmeasures import (
+    ece,
+    emd_joints,
+    from_samples,
+    intce_opt,
+    lipschitz,
+    smce,
+)
 from calmeasures.lipschitz import _chain_dp, residuals
 
 
@@ -129,19 +137,27 @@ def test_inequalities_at_1e5_distinct_scores():
     assert s <= ece(joint) + 1e-12
 
 
-def test_chain_dp_time_grows_near_linearly():
-    """Best of 3 at k and 4k: about 4.6 at 1e4 -> 4e4, 16 if quadratic."""
+def test_chain_dp_time_grows_near_linearly(monkeypatch):
+    """Each kink enters each heap once and leaves it at most once, so a
+    solve makes 2 (k - 1) pushes (the first kink starts in both heaps) and
+    at most 2k pops, each O(log k): counted, not timed, at k and 4k."""
+    counts = {"push": 0, "pop": 0}
 
-    def best(k):
-        vals, cs = residuals(beta_scores(k, seed=k))
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            _chain_dp(vals, cs, 1)
-            times.append(time.perf_counter() - start)
-        return min(times)
+    def push(heap, item):
+        counts["push"] += 1
+        heapq.heappush(heap, item)
 
-    assert best(4 * 10**4) / best(10**4) < 8.0
+    def pop(heap):
+        counts["pop"] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(lipschitz, "heapq",
+                        SimpleNamespace(heappush=push, heappop=pop))
+    for k in (10**4, 4 * 10**4):
+        counts.update(push=0, pop=0)
+        _chain_dp(*residuals(beta_scores(k, seed=k)), 1)
+        assert counts["push"] == 2 * (k - 1)
+        assert counts["pop"] <= 2 * k
 
 
 @pytest.mark.parametrize("g", [2, 7, 1000])

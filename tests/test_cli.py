@@ -2,7 +2,19 @@ import json
 
 import pytest
 
-from calmeasures import cdl, cli, ece, read_csv, smce
+from calmeasures import (
+    Adversary,
+    ConstantAdversary,
+    ConstantForecaster,
+    Forecaster,
+    cdl,
+    cli,
+    ece,
+    measures,
+    read_csv,
+    run,
+    smce,
+)
 from calmeasures.cli import main
 
 CSV = "prediction,label\n0.3,1\n0.3,0\n0.7,1\n0.2,0\n"
@@ -94,6 +106,32 @@ class TestReport:
 
     def test_dce_needs_instance_exit_3(self, data_csv, capsys):
         assert main(["report", data_csv, "--measures", "dce"]) == 3
+
+    def test_unsupported_suffix_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "data.txt"
+        p.write_text(CSV)
+        assert main(["report", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unsupported input format '.txt'" in err
+
+    def test_violated_relation_chain_exit_1(self, data_csv, capsys,
+                                            monkeypatch):
+        monkeypatch.setattr(measures, "cdl", lambda joint: 10.0)
+        argv = ["report", data_csv, "--verify-relations"]
+        assert main(argv + ["--measures", "ece,cdl"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: relation chain violated\n"
+
+    def test_dce_of_an_instance_equals_the_oracle(self, instance_json,
+                                                  capsys):
+        code, out = run_cli(
+            ["report", instance_json, "--measures", "dce"], capsys)
+        assert code == 0
+        code, oracle = run_cli(["oracle", instance_json], capsys)
+        assert code == 0
+        assert json.loads(out)["measures"]["dce"] == json.loads(oracle)["dce"]
 
     def test_determinism_byte_identical(self, data_csv, tmp_path, capsys):
         out1 = tmp_path / "a.json"
@@ -234,6 +272,28 @@ class TestOnline:
         assert main(argv) == 3
         assert "measure 'nope'" in capsys.readouterr().err
 
+    def test_running_mean_with_a_prior(self, capsys):
+        code, out = run_cli(["online", "--forecaster", "running_mean:2,3",
+                             "--adversary", "ones", "-T", "4"], capsys)
+        assert code == 0
+        # (a + sum y) / (a + b + t - 1) with a, b = 2, 3 against all ones
+        assert [p for p, _ in json.loads(out)["rounds"]] == [
+            2 / 5, 3 / 6, 4 / 7, 5 / 8]
+
+    def test_run_refuses_an_out_of_range_move(self):
+        class TooHigh(Forecaster):
+            def predict(self, ps, ys, rng):
+                return 1.5
+
+        class Two(Adversary):
+            def outcome(self, ps, ys, rng):
+                return 2
+
+        with pytest.raises(ValueError, match="forecaster emitted 1.5 outside"):
+            run(TooHigh(), ConstantAdversary(1), 3)
+        with pytest.raises(ValueError, match="adversary emitted 2 outside"):
+            run(ConstantForecaster(0.5), Two(), 3)
+
 
 class TestFixtureCommand:
     def test_emit_and_reuse(self, tmp_path, capsys):
@@ -277,6 +337,22 @@ class TestFixtureCommand:
 
     def test_eps_out_of_range_exit_2(self, capsys):
         assert main(["fixture", "--name", "two_point", "--eps", "0.9"]) == 2
+
+    def test_unknown_name_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["fixture", "--name", "nope", "--eps", "0.1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+    def test_sized_fixture_prints_its_bounds(self, capsys):
+        code, out = run_cli(["fixture", "--name", "cdl_example_2", "--eps",
+                             "0.05", "--n", "200"], capsys)
+        assert code == 0
+        (fix,) = json.loads(out)["fixtures"]
+        assert fix["ok"] is True
+        assert fix["bounds"]
+        for bound in fix["bounds"].values():
+            assert set(bound) == {"lower", "upper", "provenance"}
 
 
 class TestPlotdata:

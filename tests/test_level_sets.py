@@ -11,7 +11,6 @@ import pytest
 
 from calmeasures import (
     EmpiricalJoint,
-    LevelSets,
     cdl,
     ece,
     ece_q,
@@ -88,7 +87,7 @@ def test_near_duplicates_stay_distinct_in_columns():
 def test_level_sets_is_a_read_only_mapping():
     j = from_samples([(0.4, 1), (0.4, 0), (0.9, 1), (0.4, 0)])
     ls = j.level_sets()
-    assert isinstance(ls, LevelSets)
+    assert isinstance(ls, EmpiricalJoint)
     assert list(ls) == [0.4, 0.9]
     assert dict(ls) == {0.4: (0.75, 1 / 3), 0.9: (0.25, 1.0)}
     assert 0.9 in ls and 0.5 not in ls
