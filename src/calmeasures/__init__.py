@@ -5,8 +5,10 @@ columns every measure reads, ingestion), :mod:`basic` (ECE family),
 :mod:`lipschitz` (weighted, smooth, low-degree, kernel CE and the
 earthmover distance), :mod:`decision` (decision-loss measures),
 :mod:`distance` (distance-to-calibration oracles and interval CE),
-:mod:`online` (sequential episodes), :mod:`fixtures` (worked examples with
-known values), :mod:`measures` (the measure-id registry), :mod:`cli` (the
+:mod:`online` (sequential episodes and the strategy-name tables),
+:mod:`fixtures` (worked examples with known values), :mod:`measures` (the
+measure-id registry), :mod:`oracles` (generic LPs and enumerations that
+tests cross-check the exact solvers against), :mod:`cli` (the
 ``calmeasure`` command).
 """
 
@@ -15,7 +17,6 @@ from .basic import (
     bucket_midpoint,
     ece,
     ece_q,
-    sign_witness_ce,
     surrogate_masses,
     tv_characterization,
 )
@@ -46,7 +47,6 @@ from .distance import (
     intce_opt,
     intce_partition,
     random_grid_intce,
-    restricted_growth_strings,
 )
 from .empirical import (
     EmpiricalJoint,
@@ -65,14 +65,12 @@ from .fixtures import FIXTURES, Fixture, evaluate, verify
 from .lipschitz import (
     WeightFunction,
     emd_joints,
-    emd_lp_oracle,
     gaussian_kernel,
     kernel_ce,
     laplace_kernel,
     low_degree_ce,
     residuals,
     smce,
-    smce_lp_oracle,
     weighted_ce,
 )
 from .online import (
@@ -85,11 +83,16 @@ from .online import (
     RunningMeanForecaster,
     ThresholdAdversary,
     Transcript,
-    baseline_forecasters,
     prefix_curve,
     prefix_curves,
     run,
     sequence_measure,
+)
+from .oracles import (
+    emd_lp_oracle,
+    restricted_growth_strings,
+    sign_witness_ce,
+    smce_lp_oracle,
 )
 
 __version__ = "0.1.0"

@@ -93,13 +93,3 @@ def binned_ece(joint: EmpiricalJoint, b: int) -> float:
         raise ValueError(f"number of buckets must be >= 1, got {b}")
     return ece(joint.with_values(bucket_midpoint(joint.vals, b)))
 
-
-def sign_witness_ce(joint: EmpiricalJoint, signs: dict[float, int]) -> float:
-    """E[b(v)(y - v)] for a +-1 witness b given per distinct value.
-
-    The maximum over all sign patterns equals ece(joint); used by tests as
-    a brute-force oracle.
-    """
-    return sum(
-        signs[v] * m * (y - v) for v, y, m in joint.atoms
-    )

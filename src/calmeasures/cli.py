@@ -44,18 +44,8 @@ from .empirical import (
 )
 from .fixtures import FIXTURES, Fixture, verify
 from .lipschitz import smce
-from .measures import MEASURES, MeasureError, resolve
-from .online import (
-    BernoulliAdversary,
-    ConstantAdversary,
-    ConstantForecaster,
-    GridRandomForecaster,
-    RunningMeanForecaster,
-    ThresholdAdversary,
-    Transcript,
-    prefix_curves,
-    run,
-)
+from .measures import MEASURES, MeasureError, lookup, resolve
+from .online import ADVERSARIES, FORECASTERS, Transcript, prefix_curves, run
 
 
 class CliError(Exception):
@@ -69,6 +59,7 @@ class CliError(Exception):
 EXIT_CODES: dict[type[Exception], int] = {
     OracleSizeError: 4, MeasureError: 3, MemoryError: 5,
     OSError: 2, ValueError: 2, KeyError: 2, TypeError: 2, OverflowError: 2,
+    RecursionError: 2,
 }
 
 
@@ -119,7 +110,11 @@ def _render(obj) -> str:
 
 
 def emit(obj, out: str | None) -> None:
-    text = _render(obj) + "\n"
+    write(_render(obj) + "\n", out)
+
+
+def write(text: str, out: str | None) -> None:
+    """``text`` to the file ``out``, or to stdout if ``out`` is not given."""
     if out:
         Path(out).write_text(text)
     else:
@@ -257,36 +252,20 @@ def cmd_oracle(args) -> None:
     emit(obj, args.output)
 
 
-def parse_forecaster(spec: str):
-    name, _, arg = spec.partition(":")
-    if name == "constant":
-        return ConstantForecaster(float(arg))
-    if name == "running_mean":
-        if arg:
-            a, b = (float(x) for x in arg.split(","))
-            return RunningMeanForecaster(a, b)
-        return RunningMeanForecaster()
-    if name == "grid_random":
-        return GridRandomForecaster(int(arg))
-    raise CliError(f"unknown forecaster {spec!r}", 2)
-
-
-def parse_adversary(spec: str):
-    name, _, arg = spec.partition(":")
-    if name == "bernoulli":
-        return BernoulliAdversary(float(arg))
-    if spec == "ones":
-        return ConstantAdversary(1)
-    if spec == "zeros":
-        return ConstantAdversary(0)
-    if spec == "threshold":
-        return ThresholdAdversary()
-    raise CliError(f"unknown adversary {spec!r}", 2)
+def strategy(kind: str, table: dict, spec: str):
+    """The ``kind`` of strategy that ``spec``, ``<name>[:<arg>]``, names in
+    ``table``; its failures name ``kind`` and ``spec``."""
+    with failures(f"{kind} {spec!r}"):
+        found = lookup(spec, table)
+        if found is None:
+            raise CliError(f"unknown {kind} {spec!r}", 2)
+        entry, arg = found
+        return entry.make(arg)
 
 
 def cmd_online(args) -> None:
-    forecaster = parse_forecaster(args.forecaster)
-    adversary = parse_adversary(args.adversary)
+    forecaster = strategy("forecaster", FORECASTERS, args.forecaster)
+    adversary = strategy("adversary", ADVERSARIES, args.adversary)
     guarded = resolve_guarded(split_specs(args.measures))
     transcript = run(forecaster, adversary, args.rounds, args.seed)
     if args.curves:
@@ -313,11 +292,11 @@ def cmd_online(args) -> None:
     emit(obj, args.output)
 
 
-def build_fixture(name: str, eps: float, n: int) -> list[Fixture]:
-    if name == "cdl_example_2":
-        made = FIXTURES[name](eps, n)
-    else:
-        made = FIXTURES[name](eps)
+def build_fixture(name: str, eps: float, n: int | None) -> list[Fixture]:
+    """The fixtures that ``name`` makes, with ``n`` points if ``n`` is given:
+    a fixture that takes no size refuses one."""
+    make = FIXTURES[name]
+    made = make(eps) if n is None else make(eps, n=n)
     return list(made) if isinstance(made, tuple) else [made]
 
 
@@ -376,11 +355,7 @@ def cmd_plotdata(args) -> None:
             vals = ",".join(f"{curves[m][t - 1]:.17g}" for m in measures)
             row = f"{t},{p:.17g},{y}"
             lines.append(row + ("," + vals if vals else ""))
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    write("\n".join(lines) + "\n", args.output)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixture", help="emit a worked-example instance")
     p.add_argument("--name", required=True, choices=sorted(FIXTURES))
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=int, default=None)
     p.add_argument("--emit", default=None, help="write instance JSON here")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_fixture)

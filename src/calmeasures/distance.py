@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -189,25 +188,6 @@ def random_grid_intce(
 
 # ---------------------------------------------------------------------------
 # brute-force distance oracles
-
-
-def restricted_growth_strings(n: int) -> Iterator[list[int]]:
-    """All set partitions of n items as block-id arrays a with a[0] = 0 and
-    a[i] <= max(a[:i]) + 1."""
-    a = [0] * n
-
-    def rec(i: int, top: int) -> Iterator[list[int]]:
-        if i == n:
-            yield a
-            return
-        for block in range(top + 2):
-            a[i] = block
-            yield from rec(i + 1, max(top, block))
-
-    if n == 0:
-        yield a
-        return
-    yield from rec(1, 0)
 
 
 def _min_partition_cost(

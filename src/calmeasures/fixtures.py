@@ -127,7 +127,7 @@ def cdl_example_1(eps: float) -> Fixture:
     )
 
 
-def cdl_example_2(eps: float, n: int) -> Fixture:
+def cdl_example_2(eps: float, n: int = 1000) -> Fixture:
     """Identity predictor on [eps, 1] with labels Bernoulli(x - eps),
     discretized to n mass points at subinterval midpoints; the example
     where the decision loss is quadratically below the calibration error.

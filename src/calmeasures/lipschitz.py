@@ -15,12 +15,8 @@ one kink and cuts the slopes back to [-1, 1], which takes weight off the
 two ends of the kinks, so two heaps of kinks give O(k log k) time.  It is
 exact up to float rounding and does not depend on any LP solver tolerance.
 The earthmover distance to the Bernoulli surrogate (:func:`emd_joints`) is
-the same chain LP with the gaps doubled.  Generic LPs
-(:func:`smce_lp_oracle`, :func:`emd_lp_oracle`) serve as cross-checks.
-They are the only users of scipy and import ``linprog`` in their own
-bodies: at module level it would cost every ``import calmeasures`` and
-every ``calmeasure`` process about three quarters of its import time and
-45 MB of RSS, for a solver that no measure id or subcommand calls.
+the same chain LP with the gaps doubled.  Generic LPs in
+:mod:`calmeasures.oracles` cross-check both.
 """
 
 from __future__ import annotations
@@ -123,63 +119,6 @@ def emd_joints(joint: EmpiricalJoint) -> float:
     differences w = f(., 1) - f(., 0) are exactly the 2-Lipschitz
     w: [0,1] -> [-1,1] (take f(v, y) = (y - 1/2) w(v))."""
     return _chain_dp(*residuals(joint), lipschitz=2)
-
-
-def smce_lp_oracle(joint: EmpiricalJoint, grid: int = 100) -> float:
-    """Generic-LP cross-check for smce.
-
-    Variables are weight values at the distinct predictions plus a uniform
-    grid; every pair gets an explicit Lipschitz constraint.  Any feasible
-    assignment extends to a 1-Lipschitz function on [0,1] (McShane
-    extension clipped to [-1,1]), so the optimum equals smce exactly up to
-    solver tolerance.
-    """
-    from scipy.optimize import linprog
-
-    vals, cs = residuals(joint)
-    pts = np.unique(np.concatenate([vals, np.linspace(0.0, 1.0, grid + 1)]))
-    n = len(pts)
-    c_obj = np.zeros(n)
-    c_obj[np.searchsorted(pts, vals)] = cs
-    # w_i - w_j <= gap and w_j - w_i <= gap for every pair i < j
-    i, j = np.triu_indices(n, 1)
-    rows = np.eye(n)[i] - np.eye(n)[j]
-    res = linprog(
-        -c_obj,
-        A_ub=np.stack([rows, -rows], axis=1).reshape(-1, n),
-        b_ub=np.repeat(pts[j] - pts[i], 2),
-        bounds=[(-1.0, 1.0)] * n,
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"smce oracle LP failed: {res.message}")
-    return max(-res.fun, 0.0)
-
-
-def emd_lp_oracle(joint: EmpiricalJoint) -> float:
-    """Dense transport-LP cross-check for emd_joints: the optimal-transport
-    cost between the joint and its surrogate under |v - v'| + |y - y'|,
-    with one variable per (source, target) pair."""
-    from scipy.optimize import linprog
-
-    from .basic import surrogate_masses
-
-    pairs = surrogate_masses(joint)
-    pts = np.array(list(pairs), dtype=float)
-    src, dst = np.array(list(pairs.values())).T
-    s, t = src > 0.0, dst > 0.0
-    cost = np.abs(pts[s][:, None, :] - pts[t][None, :, :]).sum(axis=2)
-    ns, nt = cost.shape
-    # row sums are the source masses, column sums the target masses; the
-    # last column constraint is redundant
-    a_eq = np.vstack([np.kron(np.eye(ns), np.ones(nt)),
-                      np.kron(np.ones(ns), np.eye(nt))[:-1]])
-    b_eq = np.concatenate([src[s], dst[t][:-1]])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None),
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return float(res.fun)
 
 
 # ---------------------------------------------------------------------------

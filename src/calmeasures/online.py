@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .empirical import EmpiricalJoint, _group_levels, from_samples
-from .measures import resolve
+from .measures import required, resolve
 
 
 @dataclass(frozen=True)
@@ -162,13 +163,35 @@ class ThresholdAdversary(Adversary):
         return int(p_next < 0.5)
 
 
-def baseline_forecasters() -> dict:
-    """Factories for the stock forecasters."""
-    return {
-        "constant": ConstantForecaster,
-        "running_mean": RunningMeanForecaster,
-        "grid_random": GridRandomForecaster,
-    }
+class Strategy(NamedTuple):
+    """A strategy name's entry, as :class:`~calmeasures.measures.Measure`
+    is a measure id's: its argument parser (None when the name takes no
+    argument) and its constructor, called with the parsed argument."""
+
+    parse: Callable[[str], object] | None
+    make: Callable[[object], Forecaster | Adversary]
+
+
+def _prior(raw: str) -> list[float]:
+    """running_mean's optional prior pseudocounts: none, or both."""
+    parts = raw.split(",") if raw else []
+    if len(parts) not in (0, 2):
+        raise ValueError("expected running_mean or running_mean:<a>,<b>")
+    return [float(x) for x in parts]
+
+
+# The strategy names, each resolved by measures.lookup as a measure id is.
+FORECASTERS: dict[str, Strategy] = {
+    "constant": Strategy(required(float), ConstantForecaster),
+    "running_mean": Strategy(_prior, lambda a: RunningMeanForecaster(*a)),
+    "grid_random": Strategy(required(int), GridRandomForecaster),
+}
+ADVERSARIES: dict[str, Strategy] = {
+    "bernoulli": Strategy(required(float), BernoulliAdversary),
+    "ones": Strategy(None, lambda a: ConstantAdversary(1)),
+    "zeros": Strategy(None, lambda a: ConstantAdversary(0)),
+    "threshold": Strategy(None, lambda a: ThresholdAdversary()),
+}
 
 
 # ---------------------------------------------------------------------------

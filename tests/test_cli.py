@@ -93,6 +93,13 @@ class TestReport:
         assert code == 0
         assert json.loads(out)["measures"][f"cfdl:{task}"] >= 0.0
 
+    @pytest.mark.parametrize("spec", ["cfdl", "binned", "ece_q", "lowdeg"])
+    def test_an_id_without_its_argument_says_so(self, data_csv, spec,
+                                                capsys):
+        assert main(["report", data_csv, "--measures", spec]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == f"error: measure {spec!r}: needs an argument"
+
     def test_unknown_measure_exit_3(self, data_csv, capsys):
         assert main(["report", data_csv, "--measures", "nope"]) == 3
 
@@ -242,6 +249,30 @@ class TestOnline:
         err = capsys.readouterr().err.splitlines()
         assert err == ([f"error: unknown adversary {spec!r}"] if code else [])
 
+    @pytest.mark.parametrize("spec", ["running_mean:2", "running_mean:1,2,3"])
+    def test_running_mean_takes_nothing_or_two_pseudocounts(self, spec,
+                                                             capsys):
+        argv = ["online", "--forecaster", spec, "--adversary", "ones",
+                "-T", "3"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert f"forecaster {spec!r}" in err[0]
+        assert "running_mean:<a>,<b>" in err[0]
+
+    @pytest.mark.parametrize("forecaster,adversary,missing", [
+        ("constant", "ones", "forecaster 'constant'"),
+        ("grid_random", "ones", "forecaster 'grid_random'"),
+        ("running_mean", "bernoulli", "adversary 'bernoulli'"),
+    ])
+    def test_a_strategy_without_its_argument_says_so(
+            self, forecaster, adversary, missing, capsys):
+        argv = ["online", "--forecaster", forecaster, "--adversary",
+                adversary, "-T", "3"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {missing}: needs an argument"]
+
     def test_unknown_measure_exit_3(self, capsys):
         assert (
             main(
@@ -343,6 +374,18 @@ class TestFixtureCommand:
             main(["fixture", "--name", "nope", "--eps", "0.1"])
         assert exc.value.code == 2
         assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["two_point", "quadratic_gap",
+                                      "cdl_example_1"])
+    def test_unsized_fixture_refuses_a_size(self, name, capsys):
+        argv = ["fixture", "--name", name, "--eps", "0.05", "--n", "5"]
+        assert main(argv) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: ") and name in err
+
+    def test_sized_fixture_defaults_to_1000_points(self, capsys):
+        argv = ["fixture", "--name", "cdl_example_2", "--eps", "0.05"]
+        assert run_cli(argv, capsys) == run_cli(argv + ["--n", "1000"], capsys)
 
     def test_sized_fixture_prints_its_bounds(self, capsys):
         code, out = run_cli(["fixture", "--name", "cdl_example_2", "--eps",

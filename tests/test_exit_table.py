@@ -71,3 +71,28 @@ def test_every_spec_resolves_before_any_is_computed(tmp_path, capsys):
     argv = ["report", str(path), "--measures", "dce_upper,nope"]
     assert main(argv) == 3
     assert "unknown measure 'nope'" in one_error_line(capsys)
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("name,text,argv,label", [
+    ("deep.jsonl", DEEP + "\n", ["report", "{path}"], "input"),
+    ("deep.json", DEEP, ["report", "{path}"], "input"),
+    ("deep.json", DEEP, ["oracle", "{path}"], "input"),
+    ("deep.json", '{"rounds": ' + DEEP + "}",
+     ["plotdata", "--kind", "transcript", "{path}"], "input"),
+    ("task.json", DEEP, ["report", "{csv}", "--measures", "cfdl:{path}"],
+     "measure"),
+], ids=["report-jsonl", "report-json", "oracle", "plotdata-transcript",
+        "cfdl-task"])
+def test_too_deeply_nested_json_exits_2(name, text, argv, label, csv,
+                                        tmp_path, capsys):
+    """A JSON value nested past the recursion limit is malformed input,
+    not the relation-chain failure that exit 1 is kept for."""
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([a.format(path=path, csv=csv) for a in argv]) == 2
+    err = one_error_line(capsys)
+    assert err.startswith(f"error: {label} ")
+    assert "maximum recursion depth exceeded" in err

@@ -9,12 +9,12 @@ from calmeasures import (
     RunningMeanForecaster,
     ThresholdAdversary,
     Transcript,
-    baseline_forecasters,
     ece,
     prefix_curve,
     run,
     sequence_measure,
 )
+from calmeasures.online import ADVERSARIES, FORECASTERS
 
 
 class TestTranscript:
@@ -60,11 +60,12 @@ class TestStrategies:
             ThresholdAdversary().outcome([], [], None)
 
     def test_baseline_registry(self):
-        assert set(baseline_forecasters()) == {
+        assert set(FORECASTERS) == {
             "constant",
             "running_mean",
             "grid_random",
         }
+        assert set(ADVERSARIES) == {"bernoulli", "ones", "zeros", "threshold"}
 
 
 class TestRun:

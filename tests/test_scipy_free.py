@@ -1,7 +1,8 @@
 """No measure id or subcommand loads scipy; only the two LP cross-check
-oracles do, on their first call.  Each check runs in a fresh interpreter,
+oracles do, on their first call.  Each run check uses a fresh interpreter,
 so that no other test has imported scipy before it."""
 
+import ast
 import json
 import os
 import subprocess
@@ -90,3 +91,30 @@ def test_lp_oracles_load_scipy_themselves_and_still_match():
     assert s == pytest.approx(s_lp, abs=1e-6)
     d, d_lp = result["emd"]
     assert d == pytest.approx(d_lp, abs=1e-12)
+
+
+def scipy_imports(tree: ast.AST):
+    """(line, inside a function body) of each import of scipy in ``tree``."""
+    def walk(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            names = []
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module or ""]
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                yield child.lineno, in_function
+            yield from walk(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    return list(walk(tree, False))
+
+
+def test_only_the_oracles_module_imports_scipy_and_only_in_functions():
+    found = {
+        path.name: scipy_imports(ast.parse(path.read_text(), str(path)))
+        for path in sorted(Path(calmeasures.__file__).parent.glob("*.py"))
+    }
+    assert {name for name, imports in found.items() if imports} == {
+        "oracles.py"}
+    assert all(in_function for _, in_function in found["oracles.py"])
