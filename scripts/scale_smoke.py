@@ -15,7 +15,11 @@ measures that are near-linear in the number of distinct predictions, with
 --verify-relations too, and must report finite values and tv equal to ece.
 A CSV of CHAIN_ROWS distinct Beta(2, 3) scores gets CHAIN_MEASURES, the
 chain-DP measures smce and emd and the grid DP intce, and must report
-finite values with emd/2 <= smce <= emd within 1e-9.
+finite values with emd/2 <= smce <= emd within 1e-9; the same file with
+intce at --grid HUGE_GRID, whose window of group starts is too large to
+hold, must exit 0 with a finite value or exit 5.  A CSV of CHAIN_ROWS
+uniform scores, every label 1, gets intce alone: its worst case, where
+about half the width caps and a window of half the grid remain.
 Every run with --verify-relations must pass every check.  Then ONLINE_ARGS
 plays ROUNDS rounds with prefix curves, each of which must have ROUNDS
 points and end at its sequence measure within 1e-9 * ROUNDS.  LARGE_K_ARGS
@@ -41,9 +45,10 @@ from calmeasures.empirical import read_jsonl
 
 ROWS = 10**6
 SEED = 0
-DISTINCT_MEASURES = "ece,ece2,tv,binned:10,lowdeg:3,cdl"
+DISTINCT_MEASURES = "ece,ece2,tv,binned:10,lowdeg:3,cdl,intce"
 CHAIN_ROWS = 10**5
 CHAIN_MEASURES = "smce,emd,intce"
+HUGE_GRID = 10**6
 ROUNDS = 20000
 ONLINE_ARGS = ["--forecaster", "grid_random:20", "--adversary",
                "bernoulli:0.3", "--measures", "ece,cdl"]
@@ -84,6 +89,9 @@ def write_inputs(work: Path) -> list[tuple[Path, list[str]]]:
     y = (rng.random(CHAIN_ROWS) < p).astype(np.int64)
     write_rows(work / "chain.csv", p, y)
     runs.append((work / "chain.csv", ["--measures", CHAIN_MEASURES]))
+    p = rng.random(CHAIN_ROWS)
+    write_rows(work / "ones.csv", p, np.ones(CHAIN_ROWS, dtype=np.int64))
+    runs.append((work / "ones.csv", ["--measures", "intce"]))
     return runs
 
 
@@ -103,7 +111,10 @@ def passed(report: dict) -> bool:
     return emd is None or emd / 2.0 - 1e-9 <= values["smce"] <= emd + 1e-9
 
 
-def run(name: str, argv: list[str], out: Path) -> bool:
+def run(name: str, argv: list[str], out: Path,
+        may_run_out_of_memory: bool = False) -> bool:
+    """Run one command; it passes on exit 0 with an output that passes
+    the checks, or on exit 5 if ``may_run_out_of_memory``."""
     start = time.perf_counter()
     try:
         code = calmeasure([*argv, "-o", str(out)])
@@ -112,9 +123,10 @@ def run(name: str, argv: list[str], out: Path) -> bool:
         traceback.print_exc()
         return False
     seconds = time.perf_counter() - start
-    ok = code == 0 and passed(json.loads(out.read_text()))
     print(f"{name}: exit {code}, {seconds:.2f} s")
-    return ok
+    if code == 5 and may_run_out_of_memory:
+        return True
+    return code == 0 and passed(json.loads(out.read_text()))
 
 
 def curves_end_at_no_curves(work: Path) -> bool:
@@ -158,6 +170,11 @@ def main() -> int:
             for path, options in runs
         ])
         ok = ok and same_values(Path(tmp))
+        chain = Path(tmp) / "chain.csv"
+        ok &= run(f"chain.csv intce --grid {HUGE_GRID}",
+                  ["report", str(chain), "--measures", "intce",
+                   "--grid", str(HUGE_GRID)],
+                  Path(tmp) / "huge-grid.out.json", may_run_out_of_memory=True)
         ok &= run(f"online -T {ROUNDS}",
                   ["online", "-T", str(ROUNDS), *ONLINE_ARGS],
                   Path(tmp) / "online.out.json")

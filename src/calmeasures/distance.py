@@ -13,6 +13,7 @@ values of a joint, i.e. over calibrated post-processings.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -127,8 +128,24 @@ def canonical_predictor(
 
 def intce_opt(joint: EmpiricalJoint, g: int = 1000) -> float:
     """Min over partitions with breakpoints on the uniform g-grid of
-    (CE + width), via a DP over groups of grid cells run for every width
-    cap; time and memory follow the number of occupied cells, at most g.
+    (CE + width), via a DP over groups of grid cells run for each width
+    cap that can still win.
+
+    A cap's value is its least CE plus the cap, so no cap at or above a
+    value already reached can beat it.  The all-singletons partition under
+    the least cap 1/g, summed in the order the DP sums it, gives such a
+    value U, no less than the DP's own value at that cap.  Only the caps
+    below U are run, and the answer is the least of U and their values:
+    bit for bit the minimum over every cap.  A group fits under a kept cap
+    only if its width is below about U, so each cell looks back over a
+    window of the occupied cells within about U * g grid cells, under the
+    same ``req <= cap + 1e-15`` test as a DP over every start.  When the
+    CE is small the window is a few cells.  The worst case, every label 1,
+    has U near 1/2: about half the caps and a window of half the grid
+    remain.  The (cells x window x caps) candidates are built for a block
+    of cells at a time, at most _DP_CELLS per block unless one cell's are
+    more, so memory follows cells x (window + caps), against
+    cells x (cells + caps) for a DP over every cap and start.
 
     The reported value overestimates the unrestricted optimum by at most
     2/g: any partition's groups fit grid-aligned intervals after widening
@@ -142,9 +159,11 @@ def intce_opt(joint: EmpiricalJoint, g: int = 1000) -> float:
         raise ValueError(f"grid resolution g={g} too large: cell indices "
                          "v * g must fit int64 (g < 2**63)")
     vals, rs = residuals(joint)
-    # values in one grid cell always share a group: merge them into one row
-    cells, row = np.unique(np.minimum((vals * g).astype(np.int64), g - 1),
-                           return_inverse=True)
+    # values in one grid cell always share a group: merge them into one
+    # row; the values are sorted, so each cell's values are one run
+    cell = np.minimum((vals * g).astype(np.int64), g - 1)
+    first = np.concatenate([[True], cell[1:] != cell[:-1]])
+    cells, row = cell[first], np.cumsum(first) - 1
     if len(cells) < len(vals):
         warnings.warn(
             f"grid g={g} too coarse to separate some prediction values; "
@@ -152,18 +171,39 @@ def intce_opt(joint: EmpiricalJoint, g: int = 1000) -> float:
         )
     m = len(cells)
     prefix = np.concatenate([[0.0], np.cumsum(np.bincount(row, rs))])
-    # group i..j needs a grid interval of width req[i, j] and costs cost[i, j]
-    req = (cells[None, :] - cells[:, None] + 1) / g
-    cost = np.abs(prefix[None, 1:] - prefix[:-1, None])
-    caps = np.unique(req[np.triu_indices(m)])
-    # dp[c, j]: least CE of the first j cells under width cap caps[c]
-    dp = np.full((len(caps), m + 1), np.inf)
-    dp[:, 0] = 0.0
-    for j in range(m):
-        fits = req[: j + 1, j] <= caps[:, None] + 1e-15
-        cand = np.where(fits, dp[:, : j + 1] + cost[: j + 1, j], np.inf)
-        dp[:, j + 1] = cand.min(axis=1)
-    return float((dp[:, m] + caps).min())
+    best = np.cumsum(np.abs(prefix[1:] - prefix[:-1]))[-1] + np.int64(1) / g
+    # every width w with w / g <= best + 1e-15 is at most span
+    span = min(g, int((best + 2e-15) * g * (1.0 + 1e-9)) + 2)
+    lo = np.searchsorted(cells, cells - (span - 1))
+    w = int((np.arange(m) - lo).max()) + 1
+    # start[j, t] = j - w + 1 + t: the window of group starts for cell j,
+    # whose groups need a grid interval of width req
+    start = np.arange(m)[:, None] + np.arange(1 - w, 1)
+    outside = start < 0
+    start[outside] = 0
+    req = (cells[:, None] - cells[start] + 1) / g
+    req[outside] = np.inf
+    caps = np.unique(req[req < best])
+    if not len(caps):
+        return float(best)
+    req = req[:, :, None]
+    cost = np.abs(prefix[1:, None] - prefix[start])[:, :, None]
+    limit = caps + 1e-15
+    # dp[w - 1 + i, c]: least CE of the first i cells under cap caps[c];
+    # the w - 1 rows before stand for starts before the first cell
+    dp = np.full((w + m, len(caps)), np.inf)
+    dp[w - 1] = 0.0
+    block = max(1, _DP_CELLS // (w * len(caps)))
+    for a in range(0, m, block):
+        cand = np.where(req[a:a + block] <= limit, cost[a:a + block], np.inf)
+        for j, c in enumerate(cand, a):
+            np.minimum.reduce(dp[j:j + w] + c, axis=0, out=dp[j + w])
+    return float(min(best, (dp[-1] + caps).min()))
+
+
+# intce_opt builds its (cells x window x caps) candidates for this many at
+# a time, or for one cell where one cell's are more
+_DP_CELLS = 1 << 16
 
 
 def random_grid_intce(
@@ -190,6 +230,29 @@ def random_grid_intce(
 # brute-force distance oracles
 
 
+@functools.cache
+def _subset_plan(n: int) -> tuple[np.ndarray, tuple]:
+    """The size-only part of the subset DP on n points, built once per n
+    and read-only: each subset's 0/1 membership row, and for each
+    popcount layer p its subsets S, the blocks T of S that hold S's
+    lowest point (that point plus any subset of the other p - 1) and
+    their complements S - T.  The plan on n points holds (3^n - 1) / 2
+    blocks and as many complements: 13.0 MiB at n = 13, 4.5 MiB at 12,
+    0.07 MiB at 8, and 19.9 MiB for every n up to MAX_ORACLE_CAP."""
+    member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    popcount = member.sum(axis=1)
+    layers = []
+    for p in range(1, n + 1):
+        layer = np.flatnonzero(popcount == p)
+        bits = np.nonzero(member[layer])[1].reshape(-1, p)
+        pick = (np.arange(1 << (p - 1))[:, None] >> np.arange(p - 1)) & 1
+        blocks = (1 << bits[:, :1]) | ((1 << bits[:, 1:]) @ pick.T)
+        layers.append((layer, blocks, layer[:, None] ^ blocks))
+    for a in (member, *(a for layer in layers for a in layer)):
+        a.flags.writeable = False
+    return member, tuple(layers)
+
+
 def _min_partition_cost(
     mass: np.ndarray, pred: np.ndarray, cond: np.ndarray, cap: int
 ) -> float:
@@ -198,7 +261,9 @@ def _min_partition_cost(
 
     Subset S is the bit mask of its points.  f[S] = min over blocks T of S
     that hold S's lowest point of cost[T] + f[S - T], solved one popcount
-    layer at a time: O(3^n) steps over 2^n precomputed block costs."""
+    layer at a time: O(3^n) steps over 2^n block costs.  Which blocks
+    each layer takes depends on n alone: :func:`_subset_plan` builds that
+    plan at the first call on n points and keeps it (13.0 MiB at n = 13)."""
     if not 0 <= cap <= MAX_ORACLE_CAP:
         raise ValueError(
             f"oracle cap {cap} is outside the range 0..{MAX_ORACLE_CAP}"
@@ -206,26 +271,19 @@ def _min_partition_cost(
     n = len(mass)
     if n > cap:
         raise OracleSizeError(f"{n} points exceed the oracle cap {cap}")
+    member, layers = _subset_plan(n)
     # subset sums of (mass, mass * cond), adding the points in index order
-    sums = np.zeros((1, 2))
-    for row in np.stack([mass, mass * cond], axis=1):
-        sums = np.concatenate([sums, sums + row])
-    member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    sums = np.zeros((1 << n, 2))
+    for i, row in enumerate(np.stack([mass, mass * cond], axis=1)):
+        np.add(sums[: 1 << i], row, out=sums[1 << i: 2 << i])
     # the empty set (index 0) has no mass and is never a block
     value = np.concatenate([[0.0], sums[1:, 1] / sums[1:, 0]])
     # a singleton block keeps its cond exactly, not (mass * cond) / mass
     value[1 << np.arange(n)] = cond
     cost = (member * mass * np.abs(pred - value[:, None])).sum(axis=1)
     f = np.zeros(1 << n)
-    popcount = member.sum(axis=1)
-    for p in range(1, n + 1):
-        layer = np.flatnonzero(popcount == p)
-        bits = np.nonzero(member[layer])[1].reshape(-1, p)
-        # the blocks of S holding its lowest point: that point plus any
-        # subset of the other p - 1
-        pick = (np.arange(1 << (p - 1))[:, None] >> np.arange(p - 1)) & 1
-        blocks = (1 << bits[:, :1]) | ((1 << bits[:, 1:]) @ pick.T)
-        f[layer] = (cost[blocks] + f[layer[:, None] ^ blocks]).min(axis=1)
+    for layer, blocks, rest in layers:
+        f[layer] = (cost[blocks] + f[rest]).min(axis=1)
     return float(f[-1])
 
 

@@ -95,18 +95,18 @@ def sign_witness_ce(joint: EmpiricalJoint, signs: dict[float, int]) -> float:
 
 def restricted_growth_strings(n: int) -> Iterator[list[int]]:
     """All set partitions of n items as block-id arrays a with a[0] = 0 and
-    a[i] <= max(a[:i]) + 1."""
+    a[i] <= max(a[:i]) + 1, each a fresh list."""
     a = [0] * n
 
     def rec(i: int, top: int) -> Iterator[list[int]]:
         if i == n:
-            yield a
+            yield a.copy()
             return
         for block in range(top + 2):
             a[i] = block
             yield from rec(i + 1, max(top, block))
 
     if n == 0:
-        yield a
+        yield []
         return
     yield from rec(1, 0)

@@ -1,9 +1,11 @@
 """The smCE/EMD chain DP, solved in its dual by the slope trick, and
-``intce_opt`` on merged grid cells, each against the code it replaced.
+``intce_opt`` on merged grid cells with pruned caps and windowed starts,
+each against the code it replaced.
 
 The references are in-test copies of that code: the concave
-piecewise-linear DP that rebuilt its breakpoint array at every level, and
-the interval DP over single prediction values.
+piecewise-linear DP that rebuilt its breakpoint array at every level, the
+interval DP over single prediction values, and the cell DP run for every
+width cap over every group start.
 """
 
 import heapq
@@ -70,6 +72,25 @@ def per_value_intce(joint, g):
     dp[:, 0] = 0.0
     for j in np.flatnonzero(np.concatenate([sep, [True]])):
         fits = can_start[: j + 1] & (req[: j + 1, j] <= caps[:, None] + 1e-15)
+        cand = np.where(fits, dp[:, : j + 1] + cost[: j + 1, j], np.inf)
+        dp[:, j + 1] = cand.min(axis=1)
+    return float((dp[:, m] + caps).min())
+
+
+def full_cap_intce(joint, g):
+    """intce_opt's cell DP run for every width cap over every group start."""
+    vals, rs = residuals(joint)
+    cells, row = np.unique(np.minimum((vals * g).astype(np.int64), g - 1),
+                           return_inverse=True)
+    m = len(cells)
+    prefix = np.concatenate([[0.0], np.cumsum(np.bincount(row, rs))])
+    req = (cells[None, :] - cells[:, None] + 1) / g
+    cost = np.abs(prefix[None, 1:] - prefix[:-1, None])
+    caps = np.unique(req[np.triu_indices(m)])
+    dp = np.full((len(caps), m + 1), np.inf)
+    dp[:, 0] = 0.0
+    for j in range(m):
+        fits = req[: j + 1, j] <= caps[:, None] + 1e-15
         cand = np.where(fits, dp[:, : j + 1] + cost[: j + 1, j], np.inf)
         dp[:, j + 1] = cand.min(axis=1)
     return float((dp[:, m] + caps).min())
@@ -167,3 +188,27 @@ def test_intce_on_merged_cells_matches_per_value_dp(g):
         for joint in seeded_joints((1, 2, 3, 8, 40, 200), seed=g):
             ref = per_value_intce(joint, g)
             assert abs(intce_opt(joint, g) - ref) <= 1e-12
+
+
+def window_edge_joints(sizes, g, seed):
+    """Every residual zero (the value is 1/g), all scores in one grid cell,
+    and every label 1 (the window spans the grid)."""
+    rng = np.random.default_rng(seed)
+    joints = [joint_of([0.25] * 4 + [0.5] * 8 + [0.75] * 4,
+                       [1, 0, 0, 0] + [1, 0] * 4 + [1, 1, 1, 0])]
+    for k in sizes:
+        p = (int(rng.integers(g)) + 0.99 * rng.random(k)) / g
+        joints.append(joint_of(p, rng.random(k) < p))
+        joints.append(joint_of(rng.random(k), np.ones(k)))
+    return joints
+
+
+@pytest.mark.parametrize("g", [2, 7, 1000])
+def test_pruned_windowed_intce_matches_full_cap_dp_bit_for_bit(g):
+    sizes = (1, 2, 3, 8, 40, 200, 2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        edge = window_edge_joints(sizes, g, seed=g)
+        assert intce_opt(edge[0], g) == 1 / g
+        for joint in seeded_joints(sizes, seed=g) + edge:
+            assert intce_opt(joint, g).hex() == full_cap_intce(joint, g).hex()

@@ -143,6 +143,13 @@ class TestPartitionEnumeration:
     def test_counts_match_bell_numbers(self, n):
         assert sum(1 for _ in restricted_growth_strings(n)) == BELL[n]
 
+    def test_each_partition_is_its_own_list(self):
+        assert list(restricted_growth_strings(3)) == [
+            [0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1], [0, 1, 2]]
+        for n in range(7):
+            strings = [tuple(a) for a in restricted_growth_strings(n)]
+            assert len(set(strings)) == len(strings) == BELL[n]
+
     def test_strings_are_restricted_growth(self):
         for a in restricted_growth_strings(5):
             assert a[0] == 0

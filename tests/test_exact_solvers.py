@@ -1,6 +1,7 @@
 """The exact solvers behind the distance measures: the subset DP of the
-partition oracles against a brute-force enumeration, and the chain DP of
-emd_joints against the dense transport LP."""
+partition oracles against a brute-force enumeration and against its own
+per-call build of the block plan, and the chain DP of emd_joints against
+the dense transport LP."""
 
 import json
 import time
@@ -23,6 +24,7 @@ from calmeasures import (
     write_instance_json,
 )
 from calmeasures.cli import main
+from calmeasures.distance import _min_partition_cost
 
 from conftest import random_joint
 
@@ -44,6 +46,55 @@ def enumerated_min_cost(mass, pred, cond):
         )
         best = min(best, cost)
     return best
+
+
+def per_call_min_cost(mass, pred, cond):
+    """The subset DP with its block plan built on every call."""
+    n = len(mass)
+    sums = np.zeros((1, 2))
+    for row in np.stack([mass, mass * cond], axis=1):
+        sums = np.concatenate([sums, sums + row])
+    member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    value = np.concatenate([[0.0], sums[1:, 1] / sums[1:, 0]])
+    value[1 << np.arange(n)] = cond
+    cost = (member * mass * np.abs(pred - value[:, None])).sum(axis=1)
+    f = np.zeros(1 << n)
+    popcount = member.sum(axis=1)
+    for p in range(1, n + 1):
+        layer = np.flatnonzero(popcount == p)
+        bits = np.nonzero(member[layer])[1].reshape(-1, p)
+        pick = (np.arange(1 << (p - 1))[:, None] >> np.arange(p - 1)) & 1
+        blocks = (1 << bits[:, :1]) | ((1 << bits[:, 1:]) @ pick.T)
+        f[layer] = (cost[blocks] + f[layer[:, None] ^ blocks]).min(axis=1)
+    return float(f[-1])
+
+
+def seeded_points(n, seed):
+    """Masses, predictions and conditional means of n points; a seed of
+    1 mod 3 ties the predictions, 2 mod 3 calibrates half the points."""
+    rng = np.random.default_rng(seed)
+    pred = rng.uniform(0.0, 1.0, n)
+    if seed % 3 == 1:
+        pred = rng.choice([0.2, 0.5, 0.9], n)
+    cond = np.clip(pred + rng.normal(0.0, 0.2, n), 0.0, 1.0)
+    if seed % 3 == 2:
+        cond[: (n + 1) // 2] = pred[: (n + 1) // 2]
+    return rng.uniform(0.05, 1.0, n), pred, cond
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_planned_subset_dp_matches_per_call_build_bit_for_bit(n):
+    for seed in range(6):
+        points = seeded_points(n, seed)
+        assert (_min_partition_cost(*points, 13).hex()
+                == per_call_min_cost(*points).hex())
+
+
+def test_subset_plan_keeps_no_state_between_sizes():
+    cases = [seeded_points(n, 100 + n) for n in (8, 6)]
+    expected = [per_call_min_cost(*points).hex() for points in cases]
+    for i in (0, 1, 0, 1, 0):
+        assert _min_partition_cost(*cases[i], 13).hex() == expected[i]
 
 
 def instance_cases():
