@@ -42,20 +42,6 @@ def ece_q_rows(
     return np.array([total ** (1.0 / q) for total in totals.tolist()])
 
 
-def surrogate_masses(
-    joint: EmpiricalJoint,
-) -> dict[tuple[float, int], tuple[float, float]]:
-    """Per support point (v, y): (observed mass, Bernoulli-surrogate mass).
-
-    The surrogate splits each level set's mass v : (1 - v) between labels.
-    """
-    out = {}
-    cols = (joint.vals, joint.m0, joint.m1, joint.mass)
-    for v, m0, m1, mass in zip(*(col.tolist() for col in cols)):
-        out[(v, 1)], out[(v, 0)] = (m1, mass * v), (m0, mass * (1.0 - v))
-    return out
-
-
 def tv_characterization(joint: EmpiricalJoint) -> float:
     """Total variation between the joint and its Bernoulli surrogate, from
     the per-label masses and not the mean column.  Equals ece(joint); the

@@ -20,7 +20,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -100,22 +99,6 @@ def _best_responses(u: np.ndarray, vs: np.ndarray) -> np.ndarray:
     ])
 
 
-def expected_payoff(
-    joint: EmpiricalJoint,
-    task: DecisionTask,
-    policy: Mapping[float, int] | Callable[[float], int],
-) -> float:
-    """E[u(policy(v), y)] over the joint; the policy is asked once per
-    distinct prediction."""
-    vals = joint.vals.tolist()
-    acts = [(policy if callable(policy) else policy.get)(v) for v in vals]
-    if None in acts:
-        v = vals[acts.index(None)]
-        raise ValueError(f"policy undefined on support value {v}")
-    u = task.payoff_matrix()[acts]
-    return left_sum(joint.m0 * u[:, 0], joint.m1 * u[:, 1])
-
-
 def cfdl(joint: EmpiricalJoint, task: DecisionTask) -> float:
     """Payoff gained by best-responding to the recalibration instead of
     the raw predictions."""
@@ -175,44 +158,6 @@ class ConvexPotential:
     def subgradient(self, v):
         out = np.array(self.slopes)[self._locate(v)[1]]
         return out if out.ndim else float(out)
-
-
-class KLPotential:
-    """Bernoulli negative entropy mu ln mu + (1-mu) ln(1-mu).
-
-    Its Bregman divergence is the Bernoulli KL divergence.  The subgradient
-    is unbounded at the endpoints, so this potential is outside the
-    [0,1]-payoff task family and excluded from the decision-loss supremum.
-    """
-
-    def value(self, mu: float) -> float:
-        if not 0.0 <= mu <= 1.0:
-            raise ValueError(f"argument {mu} outside [0, 1]")
-        out = 0.0
-        if mu > 0.0:
-            out += mu * math.log(mu)
-        if mu < 1.0:
-            out += (1.0 - mu) * math.log(1.0 - mu)
-        return out
-
-    def subgradient(self, mu: float) -> float:
-        if not 0.0 <= mu <= 1.0:
-            raise ValueError(f"argument {mu} outside [0, 1]")
-        if mu == 0.0:
-            return -math.inf
-        if mu == 1.0:
-            return math.inf
-        return math.log(mu / (1.0 - mu))
-
-
-def bregman(phi, mu_star: float, mu: float) -> float:
-    """phi(mu*) - phi(mu) - grad_phi(mu) (mu* - mu); >= 0 for convex phi."""
-    for arg in (mu_star, mu):
-        if not 0.0 <= arg <= 1.0:
-            raise ValueError(f"argument {arg} outside [0, 1]")
-    return phi.value(mu_star) - phi.value(mu) - phi.subgradient(mu) * (
-        mu_star - mu
-    )
 
 
 def _upper_envelope(
@@ -287,19 +232,6 @@ def cfdl_bregman(joint: EmpiricalJoint, task: DecisionTask) -> float:
 
 # ---------------------------------------------------------------------------
 # V-shaped divergences and the decision-loss supremum
-
-
-def v_divergence(vstar: float, v1: float, v2: float) -> float:
-    """Bregman divergence of |v - vstar|: 2|v1 - vstar| when vstar lies in
-    the half-open interval between v1 and v2 (open at min, closed at max),
-    else 0."""
-    for arg in (vstar, v1, v2):
-        if not 0.0 <= arg <= 1.0:
-            raise ValueError(f"argument {arg} outside [0, 1]")
-    lo, hi = min(v1, v2), max(v1, v2)
-    if lo < vstar <= hi:
-        return 2.0 * abs(v1 - vstar)
-    return 0.0
 
 
 def cdl(joint: EmpiricalJoint) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import EmpiricalJoint, FiniteInstance, left_sum
+from .empirical import EmpiricalJoint, FiniteInstance
 from .lipschitz import residuals
 
 DEFAULT_ORACLE_CAP = 12
@@ -80,46 +80,6 @@ def ce_partition(joint: EmpiricalJoint, part: IntervalPartition) -> float:
 
 def intce_partition(joint: EmpiricalJoint, part: IntervalPartition) -> float:
     return ce_partition(joint, part) + part.width
-
-
-@dataclass(frozen=True)
-class CanonicalPredictor:
-    """Per-interval conditional-mean post-processing q_B.
-
-    Empty intervals map to their midpoint (no mass, no effect); the
-    post-processed joint is always perfectly calibrated.
-    """
-
-    partition: IntervalPartition
-    values: tuple[float, ...]
-
-    def __call__(self, v: float) -> float:
-        return self.values[self.partition.index(v)]
-
-    def apply(self, joint: EmpiricalJoint) -> EmpiricalJoint:
-        return joint.with_values(self._at(joint.vals))
-
-    def l1_shift(self, joint: EmpiricalJoint) -> float:
-        """E|v - q_B(v)| under the joint: the movement to calibration."""
-        d = np.abs(joint.vals - self._at(joint.vals))
-        return left_sum(joint.m0 * d, joint.m1 * d)
-
-    def _at(self, vs: np.ndarray) -> np.ndarray:
-        """q_B(v) for each of an array of values in [0, 1]."""
-        return np.asarray(self.values)[self.partition.indices(vs)]
-
-
-def canonical_predictor(
-    joint: EmpiricalJoint, part: IntervalPartition
-) -> CanonicalPredictor:
-    j = part.indices(joint.vals)
-    mass = np.bincount(j, joint.mass, len(part)).tolist()
-    ymass = np.bincount(j, joint.mass * joint.mean, len(part)).tolist()
-    values = tuple(
-        y / m if m > 0.0 else part.midpoint(i)
-        for i, (m, y) in enumerate(zip(mass, ymass))
-    )
-    return CanonicalPredictor(part, values)
 
 
 # ---------------------------------------------------------------------------

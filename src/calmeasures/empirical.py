@@ -186,9 +186,6 @@ class EmpiricalJoint(Mapping):
     def total_mass(self) -> float:
         return left_sum(self.m0, self.m1)
 
-    def distinct_values(self) -> list[float]:
-        return self.vals.tolist()
-
     def level_sets(self) -> "EmpiricalJoint":
         """The joint itself, for callers of the older name: measures read
         its columns directly."""
@@ -284,11 +281,6 @@ def from_samples(
 def recalibrate(joint: EmpiricalJoint) -> RecalibrationMap:
     """Map each distinct prediction value v to E[y | v] under the joint."""
     return RecalibrationMap(joint)
-
-
-def recalibrated_joint(joint: EmpiricalJoint) -> EmpiricalJoint:
-    """Replace each atom's prediction by its recalibrated value and re-merge."""
-    return joint.with_values(joint.mean)
 
 
 def project(instance: FiniteInstance) -> EmpiricalJoint:

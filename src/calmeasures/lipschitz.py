@@ -1,4 +1,4 @@
-"""Weighted calibration error for pluggable weight families.
+"""Weighted calibration error over classes of weight functions.
 
 The central solver is :func:`smce`: the exact maximum of
 |E[w(v)(y - v)]| over 1-Lipschitz w: [0,1] -> [-1,1].  On a finite support
@@ -15,52 +15,23 @@ one kink and cuts the slopes back to [-1, 1], which takes weight off the
 two ends of the kinks, so two heaps of kinks give O(k log k) time.  It is
 exact up to float rounding and does not depend on any LP solver tolerance.
 The earthmover distance to the Bernoulli surrogate (:func:`emd_joints`) is
-the same chain LP with the gaps doubled.  Generic LPs in
-:mod:`calmeasures.oracles` cross-check both.
+the same chain LP with the gaps doubled.  The tests check both against
+generic LPs (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .empirical import EmpiricalJoint, left_sum
 
 
-@dataclass(frozen=True)
-class WeightFunction:
-    """Black-box weight evaluator with a declared Lipschitz bound.
-
-    lipschitz=None means "bounded-only": no smoothness is claimed.
-    """
-
-    fn: Callable[[float], float]
-    lipschitz: float | None = None
-    name: str = "custom"
-
-    def __call__(self, v: float) -> float:
-        return self.fn(v)
-
-
 def residuals(joint: EmpiricalJoint) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct values and their residual masses c_v = sum m (y - v)."""
     return joint.vals, joint.residual
-
-
-def weighted_ce(joint: EmpiricalJoint, w: WeightFunction) -> float:
-    """|E[w(v)(y - v)]| for a single weight function."""
-    vals, rs = residuals(joint)
-    ws = [w(v) for v in vals.tolist()]
-    for v, wv in zip(vals.tolist(), ws):
-        if abs(wv) > 1.0 + 1e-12:
-            raise ValueError(
-                f"weight function evaluates to {wv} outside [-1, 1] at v={v}"
-            )
-    return abs(left_sum(np.multiply(ws, rs)))
 
 
 def _chain_dp(vals: np.ndarray, cs: np.ndarray, lipschitz: int) -> float:
@@ -150,28 +121,20 @@ def gaussian_kernel(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 _KERNELS = {"laplace": laplace_kernel, "gaussian": gaussian_kernel}
 
 
-def kernel_ce(
-    joint: EmpiricalJoint,
-    kernel: str | Callable[[np.ndarray, np.ndarray], np.ndarray] = "laplace",
-) -> float:
+def kernel_ce(joint: EmpiricalJoint, kernel: str = "laplace") -> float:
     """RKHS-unit-ball maximum of E[w(v)(y - v)]: sqrt of the Gram quadratic
     form of the residual signed measure on the distinct predictions.
 
-    The form sum_i r_i sum_j K_ij r_j is added by
+    ``kernel`` names a built-in kernel, ``"laplace"`` or ``"gaussian"``.
+    Both are positive definite, so the form is >= 0 up to rounding.  The
+    form sum_i r_i sum_j K_ij r_j is added by
     :func:`~calmeasures.empirical.left_sum`, each inner sum first, with no
     BLAS product.  The Gram matrix is rebound to its product with r, so at
     most two k x k arrays are alive at once."""
-    if isinstance(kernel, str) and kernel not in _KERNELS:
+    if kernel not in _KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
-    kfun = _KERNELS[kernel] if isinstance(kernel, str) else kernel
     vs, rs = residuals(joint)
-    gram = kfun(vs[:, None], vs[None, :])
-    eigs = np.linalg.eigvalsh(gram)
-    if eigs.min() < -1e-9:
-        raise ValueError(
-            f"kernel Gram matrix not PSD on support (min eig {eigs.min()})"
-        )
-    gram = gram * rs
+    gram = _KERNELS[kernel](vs[:, None], vs[None, :]) * rs
     quad = left_sum(rs * left_sum(gram))
     return math.sqrt(max(quad, 0.0))
 

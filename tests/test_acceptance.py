@@ -22,14 +22,12 @@ from calmeasures import (
     ece,
     ece_q,
     emd_joints,
-    expected_payoff,
     from_samples,
     intce_opt,
     project,
     quadratic_task,
     random_grid_intce,
     smce,
-    smce_lp_oracle,
     tv_characterization,
 )
 from calmeasures.cli import main
@@ -46,6 +44,7 @@ from conftest import (
     random_joint,
     random_task,
 )
+from oracles import expected_payoff, smce_lp_oracle
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +132,7 @@ def test_criterion_06_trustworthiness():
     for _ in range(200):
         j = random_calibrated_joint(rng, max_values=10)
         task = random_task(rng, max_actions=4)
-        vals = j.distinct_values()
+        vals = j.vals.tolist()
         n = len(task.actions)
         br = expected_payoff(
             j, task, {v: best_response(task, v) for v in vals}

@@ -11,11 +11,10 @@ from calmeasures import (
     ece,
     ece_q,
     from_samples,
-    sign_witness_ce,
-    surrogate_masses,
     tv_characterization,
 )
 from conftest import joints, random_calibrated_joint
+from oracles import sign_witness_ce, surrogate_masses
 
 
 def two_point_joint(eps):
@@ -40,7 +39,7 @@ class TestEce:
     @given(joints(max_values=6))
     def test_sign_witness_oracle(self, j):
         # ECE equals the best +-1 witness over level sets, brute force 2^m
-        vals = j.distinct_values()
+        vals = j.vals.tolist()
         best = max(
             sign_witness_ce(j, dict(zip(vals, signs)))
             for signs in itertools.product((-1, 1), repeat=len(vals))

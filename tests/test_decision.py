@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -9,23 +8,20 @@ from hypothesis import strategies as st
 from calmeasures import (
     ConvexPotential,
     DecisionTask,
-    KLPotential,
     best_response,
-    bregman,
     cdl,
     cfdl,
     cfdl_bregman,
     ece,
     ece_q,
-    expected_payoff,
     from_samples,
     quadratic_task,
     recalibrate,
     task_potential,
     threshold_task,
-    v_divergence,
 )
 from conftest import joints, random_calibrated_joint, random_joint, random_task
+from oracles import bregman, expected_payoff, v_divergence
 
 
 class TestDecisionTask:
@@ -111,7 +107,7 @@ class TestCfdl:
         for _ in range(30):
             j = random_calibrated_joint(rng, max_values=4)
             task = random_task(rng, max_actions=3)
-            vals = j.distinct_values()
+            vals = j.vals.tolist()
             n = len(task.actions)
             br_payoff = expected_payoff(
                 j, task, {v: best_response(task, v) for v in vals}
@@ -157,14 +153,6 @@ class TestPotentials:
         task = random_task(np.random.default_rng(seed))
         phi = task_potential(task)
         assert bregman(phi, a, b) >= -1e-12
-
-    def test_kl_potential_gives_kl_divergence(self):
-        phi = KLPotential()
-        a, b = 0.3, 0.6
-        want = a * math.log(a / b) + (1 - a) * math.log((1 - a) / (1 - b))
-        assert bregman(phi, a, b) == pytest.approx(want, abs=1e-12)
-        assert phi.subgradient(0.0) == -math.inf
-        assert phi.subgradient(1.0) == math.inf
 
 
 class TestVDivergence:

@@ -8,7 +8,6 @@ from calmeasures import (
     FiniteInstance,
     IntervalPartition,
     OracleSizeError,
-    canonical_predictor,
     ce_partition,
     dce_oracle,
     dce_upper_oracle,
@@ -18,10 +17,10 @@ from calmeasures import (
     intce_partition,
     project,
     random_grid_intce,
-    restricted_growth_strings,
     smce,
 )
 from conftest import instances, joints, random_instance, random_joint
+from oracles import canonical_predictor, restricted_growth_strings
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 

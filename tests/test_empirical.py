@@ -14,10 +14,10 @@ from calmeasures import (
     read_instance_json,
     read_jsonl,
     recalibrate,
-    recalibrated_joint,
     write_instance_json,
 )
 from conftest import joints
+from oracles import recalibrated_joint
 
 
 class TestEmpiricalJoint:
@@ -31,7 +31,7 @@ class TestEmpiricalJoint:
 
     def test_zero_mass_atoms_dropped(self):
         j = EmpiricalJoint.make([(0.5, 1, 1.0), (0.2, 0, 0.0)])
-        assert j.distinct_values() == [0.5]
+        assert j.vals.tolist() == [0.5]
 
     @pytest.mark.parametrize(
         "bad",
@@ -52,7 +52,7 @@ class TestEmpiricalJoint:
         v1 = 0.3
         v2 = np.nextafter(0.3, 1.0)
         j = EmpiricalJoint.make([(v1, 1, 1.0), (v2, 1, 1.0)])
-        assert len(j.distinct_values()) == 2
+        assert len(j.vals.tolist()) == 2
 
     def test_level_sets(self):
         j = EmpiricalJoint.make([(0.4, 1, 1.0), (0.4, 0, 3.0), (0.9, 1, 4.0)])
@@ -146,7 +146,7 @@ class TestIO:
         p = tmp_path / "d.jsonl"
         p.write_text('{"p": 0.2, "y": 1}\n{"p": 0.8, "y": 0, "w": 1.0}\n')
         j = read_jsonl(p)
-        assert set(j.distinct_values()) == {0.2, 0.8}
+        assert set(j.vals.tolist()) == {0.2, 0.8}
 
     def test_instance_json_round_trip(self, tmp_path):
         inst = FiniteInstance.make(

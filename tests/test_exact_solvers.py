@@ -16,10 +16,8 @@ from calmeasures import (
     dce_oracle,
     dce_upper_oracle,
     emd_joints,
-    emd_lp_oracle,
     from_samples,
     project,
-    restricted_growth_strings,
     smce,
     write_instance_json,
 )
@@ -27,6 +25,7 @@ from calmeasures.cli import main
 from calmeasures.distance import _min_partition_cost
 
 from conftest import random_joint
+from oracles import emd_lp_oracle, restricted_growth_strings
 
 
 def enumerated_min_cost(mass, pred, cond):

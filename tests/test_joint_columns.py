@@ -21,19 +21,17 @@ from calmeasures import (
     IntervalPartition,
     best_response,
     binned_ece,
-    canonical_predictor,
     cfdl,
     ece,
-    expected_payoff,
     project,
     quadratic_task,
     read_csv,
     recalibrate,
-    recalibrated_joint,
     threshold_task,
     tv_characterization,
 )
 from calmeasures.empirical import left_sum
+from oracles import canonical_predictor, expected_payoff, recalibrated_joint
 
 K = 1000
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 from calmeasures import (
-    WeightFunction,
     ece,
     emd_joints,
     from_samples,
@@ -13,10 +12,9 @@ from calmeasures import (
     low_degree_ce,
     residuals,
     smce,
-    smce_lp_oracle,
-    weighted_ce,
 )
 from conftest import joints, random_calibrated_joint, random_joint
+from oracles import WeightFunction, smce_lp_oracle, weighted_ce
 
 
 def two_point_joint(eps):
@@ -150,8 +148,3 @@ class TestKernel:
         # k(v, v) = 1, so the value is |residual mass|
         j = from_samples([(0.2, 1)])
         assert kernel_ce(j, "laplace") == pytest.approx(0.8, abs=1e-12)
-
-    def test_rejects_non_psd_kernel(self):
-        j = from_samples([(0.1, 1), (0.9, 0)])
-        with pytest.raises(ValueError):
-            kernel_ce(j, lambda u, v: -np.abs(u - v))

@@ -1,6 +1,6 @@
-"""No measure id or subcommand loads scipy; only the two LP cross-check
-oracles do, on their first call.  Each run check uses a fresh interpreter,
-so that no other test has imported scipy before it."""
+"""The package needs numpy alone: no module under ``src/calmeasures``
+imports scipy, and every subcommand exits 0 in a fresh interpreter where a
+``sys.meta_path`` finder makes every import of scipy fail."""
 
 import ast
 import json
@@ -12,109 +12,114 @@ from pathlib import Path
 import pytest
 
 import calmeasures
+from calmeasures.measures import MEASURES
 
-SRC = str(Path(calmeasures.__file__).resolve().parent.parent)
+PACKAGE = Path(calmeasures.__file__).resolve().parent
+SRC = str(PACKAGE.parent)
 
-# every registry id but cfdl, whose argument is a decision-task JSON;
-# dce needs the instance, so these run on an instance JSON
-ALL_IDS = ("ece,ece2,ece_q:3,tv,binned:5,smce,lowdeg:2,kernel,emd,cdl,"
-           "intce,dce_upper,dce")
+# the argument each registry id that needs one is given
+ARGS = {"ece_q": "3", "binned": "5", "lowdeg": "2", "kernel": "gaussian"}
 
-COMMANDS = """
-import json, sys
-import calmeasures
+BLOCKED = """
+import importlib.abc, json, sys
+
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy
+    blocked = False
+except ImportError:
+    blocked = True
 from calmeasures import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes,
-                  "scipy": [m for m in sys.modules if m.startswith("scipy")]}))
-"""
-
-ORACLES = """
-import json, sys
-from calmeasures import (emd_joints, emd_lp_oracle, from_samples, smce,
-                         smce_lp_oracle)
-j = from_samples([(0.3, 1), (0.3, 0), (0.7, 1), (0.2, 0), (0.9, 1)],
-                 [1.0, 2.0, 1.5, 0.5, 1.0])
-before = "scipy" in sys.modules
-print(json.dumps({"before": before,
-                  "smce": [smce(j), smce_lp_oracle(j)],
-                  "emd": [emd_joints(j), emd_lp_oracle(j)],
-                  "after": "scipy.optimize" in sys.modules}))
+print(json.dumps({"blocked": blocked, "codes": codes}))
 """
 
 
-def fresh_python(script: str, *args: str) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
+def scipy_imports(tree: ast.AST) -> list[int]:
+    """The line of each import of scipy in ``tree``, at any depth."""
+    lines = []
+    for node in ast.walk(tree):
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_imports_scipy():
+    found = {
+        path.name: scipy_imports(ast.parse(path.read_text(), str(path)))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert "cli.py" in found
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 @pytest.fixture
 def inputs(tmp_path):
+    rows = [(0.3, 1), (0.3, 0), (0.7, 1), (0.2, 0), (0.9, 1)]
     csv = tmp_path / "d.csv"
-    csv.write_text("prediction,label\n0.3,1\n0.3,0\n0.7,1\n0.2,0\n0.9,1\n")
+    csv.write_text("prediction,label\n"
+                   + "".join(f"{p},{y}\n" for p, y in rows))
+    jsonl = tmp_path / "d.jsonl"
+    jsonl.write_text("".join(json.dumps({"p": p, "y": y}) + "\n"
+                             for p, y in rows))
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps([
         {"id": "a", "mass": 0.5, "pred": 0.4, "cond_mean": 0.0},
         {"id": "b", "mass": 0.25, "pred": 0.6, "cond_mean": 1.0},
         {"id": "c", "mass": 0.25, "pred": 0.8, "cond_mean": 0.5},
     ]))
-    return str(csv), str(inst), str(tmp_path / "out")
+    task = tmp_path / "task.json"
+    task.write_text(json.dumps({"actions": ["l", "h"],
+                                "payoff": [[1, 0], [0, 1]]}))
+    transcript = tmp_path / "t.json"
+    transcript.write_text(json.dumps({"rounds": rows}))
+    return {name: str(path) for name, path in (
+        ("csv", csv), ("jsonl", jsonl), ("inst", inst), ("task", task),
+        ("transcript", transcript), ("out", tmp_path / "out"))}
 
 
 def test_import_and_every_subcommand_leave_scipy_unloaded(inputs):
-    csv, inst, out = inputs
+    args = dict(ARGS, cfdl=inputs["task"])
+    specs = [f"{name}:{args[name]}" if name in args else name
+             for name in MEASURES]
+    joint_ids = ",".join(spec for spec, entry in zip(specs, MEASURES.values())
+                         if not entry.instance_only)
+    out = ["-o", inputs["out"]]
+    online = ["online", "--forecaster", "running_mean", "--adversary",
+              "bernoulli:0.3", "-T", "50", "--seed", "1", "--measures",
+              "ece,smce,emd,cdl"]
     runs = [
-        ["report", csv, "--verify-relations", "-o", out],
-        ["report", csv, "--measures", "ece,smce,emd,intce,cdl,kernel:gaussian",
-         "-o", out],
-        ["report", inst, "--measures", ALL_IDS, "-o", out],
-        ["oracle", inst, "-o", out],
-        ["online", "--forecaster", "running_mean", "--adversary",
-         "bernoulli:0.3", "-T", "50", "--seed", "1", "--measures", "ece,cdl",
-         "-o", out],
-        ["plotdata", "--kind", "reliability", csv, "-o", out],
-        ["fixture", "--name", "two_point", "--eps", "0.1", "-o", out],
+        ["report", inputs["csv"], "--measures", joint_ids,
+         "--verify-relations", *out],
+        ["report", inputs["jsonl"], "--measures", joint_ids, *out],
+        ["report", inputs["inst"], "--measures", ",".join(specs), *out],
+        ["oracle", inputs["inst"], *out],
+        [*online, *out],
+        [*online, "--no-curves", *out],
+        ["plotdata", "--kind", "reliability", inputs["csv"], *out],
+        ["plotdata", "--kind", "transcript", inputs["transcript"],
+         "--measures", "ece,smce,cdl", *out],
+        ["fixture", "--name", "two_point", "--eps", "0.1", *out],
     ]
-    result = fresh_python(COMMANDS, json.dumps(runs))
-    assert result["codes"] == [0] * len(runs)
-    assert result["scipy"] == []
-
-
-def test_lp_oracles_load_scipy_themselves_and_still_match():
-    result = fresh_python(ORACLES)
-    assert not result["before"] and result["after"]
-    s, s_lp = result["smce"]
-    assert s == pytest.approx(s_lp, abs=1e-6)
-    d, d_lp = result["emd"]
-    assert d == pytest.approx(d_lp, abs=1e-12)
-
-
-def scipy_imports(tree: ast.AST):
-    """(line, inside a function body) of each import of scipy in ``tree``."""
-    def walk(node, in_function):
-        for child in ast.iter_child_nodes(node):
-            names = []
-            if isinstance(child, ast.Import):
-                names = [alias.name for alias in child.names]
-            elif isinstance(child, ast.ImportFrom) and not child.level:
-                names = [child.module or ""]
-            if any(n == "scipy" or n.startswith("scipy.") for n in names):
-                yield child.lineno, in_function
-            yield from walk(child, in_function or isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef)))
-
-    return list(walk(tree, False))
-
-
-def test_only_the_oracles_module_imports_scipy_and_only_in_functions():
-    found = {
-        path.name: scipy_imports(ast.parse(path.read_text(), str(path)))
-        for path in sorted(Path(calmeasures.__file__).parent.glob("*.py"))
-    }
-    assert {name for name, imports in found.items() if imports} == {
-        "oracles.py"}
-    assert all(in_function for _, in_function in found["oracles.py"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", BLOCKED, json.dumps(runs)], env=env,
+        capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["blocked"]
+    assert result["codes"] == [0] * len(runs), done.stderr
