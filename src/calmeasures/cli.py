@@ -9,7 +9,8 @@ with 17 significant digits so regression diffs are exact.
 Exit codes, by :data:`EXIT_CODES`: 0 ok, 1 relation chain violated
 (report --verify-relations), 2 malformed input, argument or output path,
 3 unknown or inapplicable measure, 4 oracle size cap exceeded, 5 out of
-memory.  A command resolves all its measure ids before it computes any.
+memory, 6 internal error (any other exception).  A command resolves all its
+measure ids before it computes any.
 """
 
 from __future__ import annotations
@@ -59,21 +60,27 @@ class CliError(Exception):
 EXIT_CODES: dict[type[Exception], int] = {
     OracleSizeError: 4, MeasureError: 3, MemoryError: 5,
     OSError: 2, ValueError: 2, KeyError: 2, TypeError: 2, OverflowError: 2,
-    RecursionError: 2,
+    RecursionError: 2, Exception: 6,
 }
 
 
 @contextmanager
 def failures(label: str):
-    """Re-raise a failure of a type in EXIT_CODES as a CliError with its
-    code, prefixed by ``label``, what failed; the innermost label wins."""
+    """Re-raise any failure but a CliError as a CliError with its code in
+    EXIT_CODES, prefixed by ``label``, what failed; the innermost label wins.
+    An internal error shows its repr: its type, and its message on one line."""
     try:
         yield
-    except tuple(EXIT_CODES) as exc:
+    except CliError:
+        raise
+    except Exception as exc:
         code = next(c for t, c in EXIT_CODES.items() if isinstance(exc, t))
         if isinstance(exc, MemoryError):
             label += " ran out of memory"
-        raise CliError(f"{label}: {str(exc) or type(exc).__name__}", code)
+        what = str(exc) or type(exc).__name__
+        if code == 6:
+            what = f"internal error {exc!r}"
+        raise CliError(f"{label}: {what}", code)
 
 
 # ---------------------------------------------------------------------------

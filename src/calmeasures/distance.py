@@ -252,8 +252,8 @@ def dce_oracle(
 ) -> float:
     """Exact distance to the nearest perfectly calibrated predictor on the
     instance's own feature space."""
-    _, mass, pred, cond = map(np.array, zip(*instance.points))
-    return _min_partition_cost(mass, pred, cond, cap)
+    return _min_partition_cost(
+        instance.mass, instance.pred, instance.cond_mean, cap)
 
 
 def dce_upper_oracle(

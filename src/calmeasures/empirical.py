@@ -16,7 +16,7 @@ import warnings
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -210,51 +210,53 @@ class RecalibrationMap:
         return dict(zip(self.levels.vals.tolist(), self.levels.mean.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteInstance:
-    """Finite feature space with point masses, predictions and conditional
-    label means.  Exists only for measures that depend on the feature space;
-    everything else consumes the projection to an EmpiricalJoint.
-    """
+    """Finite feature space: point i has id ``ids[i]``, mass ``mass[i]``,
+    prediction ``pred[i]`` and conditional label mean ``cond_mean[i]``, in
+    read-only float64 columns, masses normalized; instances are equal when
+    all four are.  Only the measures that depend on the feature space read
+    it; everything else consumes its projection to an EmpiricalJoint."""
 
-    points: tuple[tuple[str, float, float, float], ...]
+    ids: tuple[str, ...]
+    mass: np.ndarray
+    pred: np.ndarray
+    cond_mean: np.ndarray
+
+    def __post_init__(self):
+        for col in (self.mass, self.pred, self.cond_mean):
+            col.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FiniteInstance) and self.ids == other.ids \
+            and all(map(np.array_equal, (self.mass, self.pred, self.cond_mean),
+                        (other.mass, other.pred, other.cond_mean)))
 
     @staticmethod
     def make(
         points: Iterable[tuple[str, float, float, float]]
     ) -> "FiniteInstance":
-        rows = []
-        for pid, mass, pred, cond_mean in points:
-            mass = float(mass)
-            pred = float(pred)
-            cond_mean = float(cond_mean)
-            if not 0.0 <= mass < math.inf:
-                raise ValueError(f"mass {mass} outside [0, inf) at {pid!r}")
-            if not 0.0 <= pred <= 1.0:
-                raise ValueError(f"pred {pred} outside [0, 1] at {pid!r}")
-            if not 0.0 <= cond_mean <= 1.0:
-                raise ValueError(
-                    f"cond_mean {cond_mean} outside [0, 1] at {pid!r}"
-                )
-            if mass > 0.0:
-                rows.append((str(pid), mass, pred, cond_mean))
-        if not rows:
+        """Refuses the first point out of range by its first bad field (mass,
+        pred, then cond_mean); drops points of mass 0, normalizes the rest."""
+        points = [(pid, float(m), float(p), float(c))
+                  for pid, m, p, c in points]
+        cols = np.array([point[1:] for point in points]).reshape(-1, 3)
+        bad = ~((cols >= 0.0) & (cols <= (np.finfo(float).max, 1.0, 1.0)))
+        if bad.any():
+            i, j = divmod(int(bad.argmax()), 3)
+            pid, value = points[i][0], points[i][j + 1]
+            bound = "[0, 1]" if j else "[0, inf)"
+            raise ValueError(f"{('mass', 'pred', 'cond_mean')[j]} {value} "
+                             f"outside {bound} at {pid!r}")
+        keep = cols[:, 0] > 0.0
+        if not keep.any():
             raise ValueError("empty instance: no points with positive mass")
-        total = left_sum(np.array([row[1] for row in rows]))
+        mass, pred, cond_mean = cols[keep].T.copy()
+        total = left_sum(mass)
         if total == math.inf:
             raise ValueError("total mass overflows")
-        return FiniteInstance(
-            tuple((pid, m / total, p, c) for pid, m, p, c in rows)
-        )
-
-    def perturb_preds(self, deltas: Sequence[float]) -> "FiniteInstance":
-        """New instance with each pred shifted by deltas[i], clipped to [0,1]."""
-        if len(deltas) != len(self.points):
-            raise ValueError("one delta per point required")
-        return FiniteInstance.make(
-            (pid, m, min(1.0, max(0.0, p + d)), c)
-            for (pid, m, p, c), d in zip(self.points, deltas)
-        )
+        ids = tuple(str(point[0]) for point in compress(points, keep))
+        return FiniteInstance(ids, mass / total, pred, cond_mean)
 
 
 def from_samples(
@@ -289,10 +291,9 @@ def project(instance: FiniteInstance) -> EmpiricalJoint:
     Each point's mass splits cond_mean : (1 - cond_mean) between labels 1
     and 0 at its predicted value.
     """
-    _, mass, pred, cond = map(np.array, zip(*instance.points))
-    return EmpiricalJoint.make(
-        _label_rows(pred, (1, 0), (mass * cond, mass * (1.0 - cond)))
-    )
+    mass, cond = instance.mass, instance.cond_mean
+    return EmpiricalJoint.make(_label_rows(
+        instance.pred, (1, 0), (mass * cond, mass * (1.0 - cond))))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +344,6 @@ def read_csv(path: str | Path) -> EmpiricalJoint:
 
 # Lines parsed per call by ``_parse_blocks``, by size in characters.
 _BLOCK = 1 << 16
-_scan_json = json.JSONDecoder().scan_once
 # The record layouts ``json.dumps`` writes, unweighted and weighted, each as
 # the separators that every line holds once, the first one anchored to the
 # line start: a line is its separators with a JSON number between each two.
@@ -468,9 +468,7 @@ def _json_objects(lines: list[str]) -> list[dict]:
     across a line break inside an array or before an object member's key.
     With no "[" in the text and every line starting with "{", neither can
     happen, and n values from n lines are one object per line.  Other text
-    is decoded line by line by the same C scanner; a line that does not
-    hold exactly one object is decoded again by ``json.loads``, for the
-    error of the bad line.
+    is decoded by one ``json.loads`` call per line.
     """
     body = ",\n".join(lines)
     if "[" not in body and all(map(str.startswith, lines, repeat("{"))):
@@ -480,16 +478,9 @@ def _json_objects(lines: list[str]) -> list[dict]:
             objs = []
         if len(objs) == len(lines):
             return objs
-    objs = []
-    for line in lines:
-        try:
-            obj, end = _scan_json(line, 0)
-        except (StopIteration, ValueError):
-            obj, end = None, 0
-        if end != len(line) or not isinstance(obj, dict):
-            json.loads(line)  # raises the error of a malformed line
-            raise ValueError("every line must hold one JSON object")
-        objs.append(obj)
+    objs = list(map(json.loads, lines))
+    if not all(isinstance(obj, dict) for obj in objs):
+        raise ValueError("every line must hold one JSON object")
     return objs
 
 
@@ -507,7 +498,9 @@ def read_instance_json(path: str | Path) -> FiniteInstance:
 def write_instance_json(instance: FiniteInstance, path: str | Path) -> None:
     data = [
         {"id": pid, "mass": m, "pred": p, "cond_mean": c}
-        for pid, m, p, c in instance.points
+        for pid, m, p, c in zip(instance.ids, instance.mass.tolist(),
+                                instance.pred.tolist(),
+                                instance.cond_mean.tolist())
     ]
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 
 from calmeasures import (
-    EmpiricalJoint,
     binned_ece,
     bucket_midpoint,
     ece,

@@ -133,12 +133,17 @@ class TestReport:
 
     def test_dce_of_an_instance_equals_the_oracle(self, instance_json,
                                                   capsys):
-        code, out = run_cli(
-            ["report", instance_json, "--measures", "dce"], capsys)
+        """dce and the other three distances that oracle prints, bit for
+        bit."""
+        distances = ["dce", "dce_upper", "intce", "smce"]
+        code, out = run_cli(["report", instance_json, "--measures",
+                             ",".join(distances)], capsys)
         assert code == 0
         code, oracle = run_cli(["oracle", instance_json], capsys)
         assert code == 0
-        assert json.loads(out)["measures"]["dce"] == json.loads(oracle)["dce"]
+        reported, oracle = json.loads(out)["measures"], json.loads(oracle)
+        assert [float.hex(reported[m]) for m in distances] == [
+            float.hex(oracle[m]) for m in distances]
 
     def test_determinism_byte_identical(self, data_csv, tmp_path, capsys):
         out1 = tmp_path / "a.json"

@@ -115,10 +115,22 @@ class TestFiniteInstance:
         j = project(inst)
         assert j.atoms == ((0.3, 0, 0.75), (0.3, 1, 0.25))
 
-    def test_perturb_clips(self):
-        inst = FiniteInstance.make([("a", 1.0, 0.95, 0.5)])
-        moved = inst.perturb_preds([0.2])
-        assert moved.points[0][2] == 1.0
+    def test_make_keeps_read_only_columns(self):
+        """The first bad point is refused, by its first bad field; points
+        of mass 0 leave with their ids."""
+        with pytest.raises(ValueError, match=r"^cond_mean 2.0 outside "
+                           r"\[0, 1\] at 'a'$"):
+            FiniteInstance.make([("a", 1.0, 0.5, 2.0), ("b", -1.0, 0.5, 0.5)])
+        inst = FiniteInstance.make([
+            ("a", 0.0, 0.1, 0.5), ("b", 3.0, 0.2, 0.5), ("c", 0.0, 0.3, 0.5),
+            ("d", 1.0, 0.4, 1.0)])
+        assert inst.ids == ("b", "d")
+        assert inst.mass.tolist() == [0.75, 0.25]
+        assert inst.pred.tolist() == [0.2, 0.4]
+        assert inst.cond_mean.tolist() == [0.5, 1.0]
+        for col in (inst.mass, inst.pred, inst.cond_mean):
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

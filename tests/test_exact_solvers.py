@@ -119,7 +119,7 @@ def test_subset_dp_matches_enumeration(mass, pred, cond):
     inst = FiniteInstance.make(
         (f"x{i}", m, p, c) for i, (m, p, c) in enumerate(zip(mass, pred, cond))
     )
-    _, m, p, c = zip(*inst.points)
+    m, p, c = (col.tolist() for col in (inst.mass, inst.pred, inst.cond_mean))
     assert dce_oracle(inst) == pytest.approx(
         enumerated_min_cost(m, p, c), abs=1e-12
     )

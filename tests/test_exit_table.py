@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from calmeasures import cli
+from calmeasures import cli, measures
 from calmeasures.cli import main
 
 
@@ -60,6 +60,19 @@ def test_reader_out_of_memory_exits_5(csv, monkeypatch, capsys):
     assert main(["report", csv]) == 5
     err = one_error_line(capsys)
     assert err.startswith(f"error: input {csv} ran out of memory")
+
+
+def test_unlisted_exception_in_a_measure_exits_6(csv, monkeypatch, capsys):
+    """An exception of a type outside the table is an internal error, not
+    the relation-chain failure that exit 1 is kept for."""
+    def ece(joint):
+        raise RuntimeError("solver\nstate lost")
+
+    monkeypatch.setattr(measures, "ece", ece)
+    assert main(["report", csv, "--measures", "ece"]) == 6
+    err = one_error_line(capsys)
+    assert err == ("error: measure 'ece': internal error "
+                   "RuntimeError('solver\\nstate lost')\n")
 
 
 def test_every_spec_resolves_before_any_is_computed(tmp_path, capsys):

@@ -124,7 +124,9 @@ def atom_recalibrated(joint):
 
 def atom_project(instance):
     atoms = []
-    for _, mass, pred, cond_mean in instance.points:
+    for mass, pred, cond_mean in zip(instance.mass.tolist(),
+                                     instance.pred.tolist(),
+                                     instance.cond_mean.tolist()):
         atoms.append((pred, 1, mass * cond_mean))
         atoms.append((pred, 0, mass * (1.0 - cond_mean)))
     return EmpiricalJoint.make(atoms)

@@ -8,7 +8,6 @@ play the transcripts of the per-round ``sum(ys)`` formula.
 
 import math
 
-import numpy as np
 import pytest
 
 from calmeasures import (
