@@ -16,10 +16,10 @@ measures that are near-linear in the number of distinct predictions, with
 A CSV of CHAIN_ROWS distinct Beta(2, 3) scores gets CHAIN_MEASURES, the
 chain-DP measures smce and emd and the grid DP intce, and must report
 finite values with emd/2 <= smce <= emd within 1e-9; the same file with
-intce at --grid HUGE_GRID, whose window of group starts is too large to
-hold, must exit 0 with a finite value or exit 5.  A CSV of CHAIN_ROWS
-uniform scores, every label 1, gets intce alone: its worst case, where
-about half the width caps and a window of half the grid remain.
+intce at each of HUGE_GRIDS, whose DP is over its step cap, must exit 4.
+A CSV of CHAIN_ROWS uniform scores, every label 1, gets intce alone: its
+worst case, where about half the width caps and a window of half the grid
+remain.
 Every run with --verify-relations must pass every check.  Then ONLINE_ARGS
 plays ROUNDS rounds with prefix curves, each of which must have ROUNDS
 points and end at its sequence measure within 1e-9 * ROUNDS.  LARGE_K_ARGS
@@ -48,7 +48,7 @@ SEED = 0
 DISTINCT_MEASURES = "ece,ece2,tv,binned:10,lowdeg:3,cdl,intce"
 CHAIN_ROWS = 10**5
 CHAIN_MEASURES = "smce,emd,intce"
-HUGE_GRID = 10**6
+HUGE_GRIDS = (20000, 10**6)
 ROUNDS = 20000
 ONLINE_ARGS = ["--forecaster", "grid_random:20", "--adversary",
                "bernoulli:0.3", "--measures", "ece,cdl"]
@@ -112,9 +112,9 @@ def passed(report: dict) -> bool:
 
 
 def run(name: str, argv: list[str], out: Path,
-        may_run_out_of_memory: bool = False) -> bool:
+        over_cap: bool = False) -> bool:
     """Run one command; it passes on exit 0 with an output that passes
-    the checks, or on exit 5 if ``may_run_out_of_memory``."""
+    the checks, or, if ``over_cap``, only on exit 4."""
     start = time.perf_counter()
     try:
         code = calmeasure([*argv, "-o", str(out)])
@@ -124,8 +124,8 @@ def run(name: str, argv: list[str], out: Path,
         return False
     seconds = time.perf_counter() - start
     print(f"{name}: exit {code}, {seconds:.2f} s")
-    if code == 5 and may_run_out_of_memory:
-        return True
+    if over_cap:
+        return code == 4
     return code == 0 and passed(json.loads(out.read_text()))
 
 
@@ -171,10 +171,11 @@ def main() -> int:
         ])
         ok = ok and same_values(Path(tmp))
         chain = Path(tmp) / "chain.csv"
-        ok &= run(f"chain.csv intce --grid {HUGE_GRID}",
-                  ["report", str(chain), "--measures", "intce",
-                   "--grid", str(HUGE_GRID)],
-                  Path(tmp) / "huge-grid.out.json", may_run_out_of_memory=True)
+        for grid in HUGE_GRIDS:
+            ok &= run(f"chain.csv intce --grid {grid}",
+                      ["report", str(chain), "--measures", "intce",
+                       "--grid", str(grid)],
+                      Path(tmp) / "huge-grid.out.json", over_cap=True)
         ok &= run(f"online -T {ROUNDS}",
                   ["online", "-T", str(ROUNDS), *ONLINE_ARGS],
                   Path(tmp) / "online.out.json")

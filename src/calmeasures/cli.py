@@ -8,7 +8,7 @@ with 17 significant digits so regression diffs are exact.
 
 Exit codes, by :data:`EXIT_CODES`: 0 ok, 1 relation chain violated
 (report --verify-relations), 2 malformed input, argument or output path,
-3 unknown or inapplicable measure, 4 oracle size cap exceeded, 5 out of
+3 unknown or inapplicable measure, 4 a solve over its size cap, 5 out of
 memory, 6 internal error (any other exception).  A command resolves all its
 measure ids before it computes any.
 """
@@ -19,7 +19,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 from contextlib import contextmanager
 from itertools import chain
@@ -368,17 +367,12 @@ def cmd_plotdata(args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def default_seed() -> int:
-    return int(os.environ.get("CALIB_SEED", "0"))
-
-
 MEASURES_HELP = "comma list of <id>[:<arg>], ids: " + ", ".join(MEASURES)
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process: it depends only on static tables, and
-    ``main`` reads the environment's default seed per call."""
+    """The one parser of the process: it depends only on static tables."""
     parser = argparse.ArgumentParser(
         prog="calmeasure",
         description="calibration error measures for binary predictors",
@@ -392,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=1000)
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     p.add_argument("--kernel", default="laplace")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify-relations", action="store_true")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_report)
@@ -408,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forecaster", required=True)
     p.add_argument("--adversary", required=True)
     p.add_argument("-T", "--rounds", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--measures", default="ece", help=MEASURES_HELP)
     p.add_argument(
         "--no-curves", dest="curves", action="store_false",
@@ -439,8 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = default_seed()
     try:
         with failures(args.command):
             args.func(args)

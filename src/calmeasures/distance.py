@@ -27,7 +27,8 @@ MAX_ORACLE_CAP = 13
 
 
 class OracleSizeError(ValueError):
-    """Instance has more points than the oracle cap allows."""
+    """A solve over its size cap: an oracle's instance has more points than
+    the cap allows, or an intce DP would take more than _DP_STEPS steps."""
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,8 @@ def intce_opt(joint: EmpiricalJoint, g: int = 1000) -> float:
     remain.  The (cells x window x caps) candidates are built for a block
     of cells at a time, at most _DP_CELLS per block unless one cell's are
     more, so memory follows cells x (window + caps), against
-    cells x (cells + caps) for a DP over every cap and start.
+    cells x (cells + caps) for a DP over every cap and start.  A DP of more
+    than _DP_STEPS candidates is refused before any of them is built.
 
     The reported value overestimates the unrestricted optimum by at most
     2/g: any partition's groups fit grid-aligned intervals after widening
@@ -124,11 +126,6 @@ def intce_opt(joint: EmpiricalJoint, g: int = 1000) -> float:
     cell = np.minimum((vals * g).astype(np.int64), g - 1)
     first = np.concatenate([[True], cell[1:] != cell[:-1]])
     cells, row = cell[first], np.cumsum(first) - 1
-    if len(cells) < len(vals):
-        warnings.warn(
-            f"grid g={g} too coarse to separate some prediction values; "
-            "they are forced into shared intervals"
-        )
     m = len(cells)
     prefix = np.concatenate([[0.0], np.cumsum(np.bincount(row, rs))])
     best = np.cumsum(np.abs(prefix[1:] - prefix[:-1]))[-1] + np.int64(1) / g
@@ -136,6 +133,17 @@ def intce_opt(joint: EmpiricalJoint, g: int = 1000) -> float:
     span = min(g, int((best + 2e-15) * g * (1.0 + 1e-9)) + 2)
     lo = np.searchsorted(cells, cells - (span - 1))
     w = int((np.arange(m) - lo).max()) + 1
+    # the DP weighs cells x window x caps candidates; the caps are distinct
+    # widths of at most span cells, each that of some (cell, start) pair
+    steps = m * w * min(span, m * w)
+    if steps > _DP_STEPS:
+        raise OracleSizeError(f"grid g={g} needs {steps} DP steps, over the "
+                              f"cap of {_DP_STEPS}")
+    if len(cells) < len(vals):
+        warnings.warn(
+            f"grid g={g} too coarse to separate some prediction values; "
+            "they are forced into shared intervals"
+        )
     # start[j, t] = j - w + 1 + t: the window of group starts for cell j,
     # whose groups need a grid interval of width req
     start = np.arange(m)[:, None] + np.arange(1 - w, 1)
@@ -162,8 +170,10 @@ def intce_opt(joint: EmpiricalJoint, g: int = 1000) -> float:
 
 
 # intce_opt builds its (cells x window x caps) candidates for this many at
-# a time, or for one cell where one cell's are more
+# a time, or for one cell where one cell's are more; it refuses a DP of more
+# than _DP_STEPS of them
 _DP_CELLS = 1 << 16
+_DP_STEPS = 1 << 30
 
 
 def random_grid_intce(

@@ -13,7 +13,7 @@ import json
 import math
 import re
 import warnings
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, repeat
@@ -75,16 +75,15 @@ def _group_levels(
 
 
 @dataclass(frozen=True, eq=False)
-class EmpiricalJoint(Mapping):
+class EmpiricalJoint:
     """Finitely supported distribution over (prediction, label) pairs,
     stored as its level sets only: sorted, read-only float64 columns.
 
     Per distinct prediction ``vals[i]``: the masses ``m0[i]``, ``m1[i]`` of
     its atoms with label 0 and 1 (0.0 if absent), and the level set's
     ``mass`` m0 + m1, ``mean`` label m1 / mass and ``residual`` m1 (1 - v) -
-    m0 v.  Joints are equal when vals, m0 and m1 are.  As a Mapping it sends
-    each v, in increasing order, to (mass, mean).  Level terms are added by
-    :func:`left_sum`.
+    m0 v.  Joints are equal when vals, m0 and m1 are.  Level terms are added
+    by :func:`left_sum`.
 
     Canonical form: exact-equal (v, y) merged, masses normalized to sum to
     1, and a level of -0.0 stored as 0.0.  Values differing in the last
@@ -110,21 +109,6 @@ class EmpiricalJoint(Mapping):
         return isinstance(other, EmpiricalJoint) and all(map(
             np.array_equal, (self.vals, self.m0, self.m1),
             (other.vals, other.m0, other.m1)))
-
-    def __hash__(self) -> int:  # masses are never -0.0 or NaN
-        return hash((self.m0.tobytes(), self.m1.tobytes()))
-
-    def __getitem__(self, v: float) -> tuple[float, float]:
-        i = int(np.searchsorted(self.vals, v))
-        if i == len(self.vals) or self.vals[i] != v:
-            raise KeyError(v)
-        return float(self.mass[i]), float(self.mean[i])
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.vals.tolist())
-
-    def __len__(self) -> int:
-        return len(self.vals)
 
     @staticmethod
     def make(atoms: Iterable[tuple[float, int, float]]) -> "EmpiricalJoint":
@@ -182,10 +166,6 @@ class EmpiricalJoint(Mapping):
         rows = _label_rows(self.vals, (0, 1), (self.m0, self.m1)).tolist()
         return tuple((v, int(y), m) for v, y, m in rows if m > 0.0)
 
-    @property
-    def total_mass(self) -> float:
-        return left_sum(self.m0, self.m1)
-
     def level_sets(self) -> "EmpiricalJoint":
         """The joint itself, for callers of the older name: measures read
         its columns directly."""
@@ -204,7 +184,10 @@ class RecalibrationMap:
     levels: EmpiricalJoint
 
     def __call__(self, v: float) -> float:
-        return self.levels[v][1]
+        i = int(np.searchsorted(self.levels.vals, v))
+        if i == len(self.levels.vals) or self.levels.vals[i] != v:
+            raise KeyError(v)
+        return float(self.levels.mean[i])
 
     def as_dict(self) -> dict[float, float]:
         return dict(zip(self.levels.vals.tolist(), self.levels.mean.tolist()))

@@ -147,7 +147,7 @@ def test_criterion_06_trustworthiness():
             best = sum(
                 mass * max(mean * u[a, 1] + (1.0 - mean) * u[a, 0]
                            for a in range(n))
-                for v, (mass, mean) in j.level_sets().items()
+                for mass, mean in zip(j.mass.tolist(), j.mean.tolist())
             )
         worst = max(worst, best - br)
     assert worst <= 1e-12

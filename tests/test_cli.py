@@ -153,12 +153,6 @@ class TestReport:
         assert main(args + ["-o", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_seed_from_env(self, data_csv, capsys, monkeypatch):
-        monkeypatch.setenv("CALIB_SEED", "99")
-        code, out = run_cli(["report", data_csv], capsys)
-        assert code == 0
-        assert json.loads(out)["meta"]["seed"] == 99
-
     def test_float_precision_17_digits(self, data_csv, capsys):
         code, out = run_cli(["report", data_csv, "--measures", "ece"], capsys)
         obj = json.loads(out)

@@ -1,6 +1,6 @@
 """Several ``main`` calls in one process share one argument parser, and no
-call's arguments or environment leak into the next; and the flat-float
-path of the JSON renderer writes what the per-value path writes."""
+call's arguments leak into the next; and the flat-float path of the JSON
+renderer writes what the per-value path writes."""
 
 import json
 
@@ -29,19 +29,6 @@ def test_a_flag_does_not_stick_to_the_next_call(data_csv, tmp_path):
     assert main(["report", data_csv, "-o", str(second)]) == 0
     assert "relation_checks" in json.loads(first.read_text())
     assert "relation_checks" not in json.loads(second.read_text())
-
-
-def test_the_default_seed_is_read_per_call(tmp_path, monkeypatch):
-    argv = ["online", "--forecaster", "running_mean", "--adversary",
-            "bernoulli:0.3", "-T", "40", "--measures", "ece,cdl"]
-    five, env, nine = (tmp_path / f"{n}.json" for n in ("5", "env", "9"))
-    assert main(argv + ["--seed", "5", "-o", str(five)]) == 0
-    monkeypatch.setenv("CALIB_SEED", "9")
-    assert main(argv + ["-o", str(env)]) == 0
-    assert main(argv + ["--seed", "9", "-o", str(nine)]) == 0
-    assert env.read_bytes() == nine.read_bytes()
-    assert env.read_bytes() != five.read_bytes()
-    assert json.loads(env.read_text())["meta"]["seed"] == 9
 
 
 def per_value(obj) -> str:

@@ -96,7 +96,7 @@ class TestCfdl:
             phat = recalibrate(j).as_dict()
             want = sum(
                 mass * v_divergence(vstar, phat[v], v)
-                for v, (mass, _) in j.level_sets().items()
+                for v, mass in zip(j.vals.tolist(), j.mass.tolist())
             )
             got = 2.0 * max(vstar, 1.0 - vstar) * cfdl(j, threshold_task(vstar))
             assert got == pytest.approx(want, abs=1e-9)

@@ -16,6 +16,7 @@ from calmeasures import (
     recalibrate,
     write_instance_json,
 )
+from calmeasures.empirical import left_sum
 from conftest import joints
 from oracles import recalibrated_joint
 
@@ -27,7 +28,7 @@ class TestEmpiricalJoint:
 
     def test_normalization(self):
         j = EmpiricalJoint.make([(0.5, 1, 10.0)])
-        assert j.total_mass == pytest.approx(1.0, abs=1e-15)
+        assert left_sum(j.m0, j.m1) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_mass_atoms_dropped(self):
         j = EmpiricalJoint.make([(0.5, 1, 1.0), (0.2, 0, 0.0)])
@@ -57,8 +58,11 @@ class TestEmpiricalJoint:
     def test_level_sets(self):
         j = EmpiricalJoint.make([(0.4, 1, 1.0), (0.4, 0, 3.0), (0.9, 1, 4.0)])
         ls = j.level_sets()
-        assert ls[0.4] == (pytest.approx(0.5), pytest.approx(0.25))
-        assert ls[0.9] == (pytest.approx(0.5), pytest.approx(1.0))
+        assert list(zip(ls.vals.tolist(), ls.mass.tolist(), ls.mean.tolist(),
+                        strict=True)) == [
+            (0.4, pytest.approx(0.5), pytest.approx(0.25)),
+            (0.9, pytest.approx(0.5), pytest.approx(1.0)),
+        ]
 
 
 class TestFromSamples:

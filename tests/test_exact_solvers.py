@@ -123,12 +123,10 @@ def test_subset_dp_matches_enumeration(mass, pred, cond):
     assert dce_oracle(inst) == pytest.approx(
         enumerated_min_cost(m, p, c), abs=1e-12
     )
-    levels = project(inst).level_sets()
-    vs = sorted(levels)
-    assert dce_upper_oracle(project(inst)) == pytest.approx(
-        enumerated_min_cost(
-            [levels[v][0] for v in vs], vs, [levels[v][1] for v in vs]
-        ),
+    levels = project(inst)
+    assert dce_upper_oracle(levels) == pytest.approx(
+        enumerated_min_cost(*(col.tolist() for col in (
+            levels.mass, levels.vals, levels.mean))),
         abs=1e-12,
     )
 

@@ -3,6 +3,7 @@ exit-code table to its code, with one error line and no traceback."""
 
 import warnings
 
+import numpy as np
 import pytest
 
 from calmeasures import cli, measures
@@ -50,6 +51,22 @@ def test_huge_grid_is_refused_before_any_cast(csv, capsys):
         assert main(argv + ["--grid", "100000000000000000000"]) == 2
     err = one_error_line(capsys)
     assert err.startswith("error: measure 'intce': grid resolution g=")
+
+
+def test_intce_over_its_step_cap_exits_4(tmp_path, capsys):
+    """10^5 distinct scores at g = 10^6: the intce DP would take about 10^15
+    steps over windows of group starts of tens of GB, and is refused by its
+    step count before any of them is built."""
+    rng = np.random.default_rng(5)
+    p = rng.beta(2.0, 3.0, 10**5)
+    y = (rng.random(10**5) < p).astype(np.int64)
+    path = tmp_path / "distinct.csv"
+    path.write_text("prediction,label\n" + "".join(
+        f"{a!r},{b}\n" for a, b in zip(p.tolist(), y.tolist())))
+    argv = ["report", str(path), "--measures", "intce", "--grid", "1000000"]
+    assert main(argv) == 4
+    err = one_error_line(capsys)
+    assert err.startswith("error: measure 'intce': grid g=1000000 needs ")
 
 
 def test_reader_out_of_memory_exits_5(csv, monkeypatch, capsys):

@@ -52,7 +52,7 @@ def wide_joint(seed):
                 raw.append((v, y, float(rng.uniform(0.0, 2.0))))
     raw.extend((v, 1, 0.0) for v in vals[::5].tolist())
     joint = EmpiricalJoint.make([raw[i] for i in rng.permutation(len(raw))])
-    assert len(joint.level_sets()) == K
+    assert len(joint.vals) == K
     return joint
 
 
@@ -190,7 +190,7 @@ def test_project():
 
 
 def test_total_mass(joint):
-    assert same(joint.total_mass,
+    assert same(left_sum(joint.m0, joint.m1),
                 reduce(operator.add, (m for _, _, m in joint.atoms), 0))
 
 
@@ -232,7 +232,7 @@ def test_level_sums_keep_their_bits_under_a_compensated_sum(
         return [getattr(j, col).tobytes() for j in made
                 for col in ("vals", "m0", "m1", "mass", "mean", "residual")
                 ] + [float(x).hex() for x in (
-            joint.total_mass, cfdl(joint, threshold_task(0.37)),
+            left_sum(joint.m0, joint.m1), cfdl(joint, threshold_task(0.37)),
             cfdl(joint, quadratic_task()),
             expected_payoff(joint, task, policy), q.l1_shift(joint),
             tv_characterization(joint), ece(joint))]
@@ -270,15 +270,18 @@ def test_atoms_view_is_canonical(joint):
 def test_recalibration_lookup_uses_the_columns():
     rng = np.random.default_rng(9)
     vals = rng.uniform(0.0, 1.0, 10**4).tolist()
-    joint = EmpiricalJoint.make(
+    joint = EmpiricalJoint.make([(0.0, 1, 1.0)] + [
         (v, y, 1.0) for v in vals for y in (0, 1) if rng.random() < 0.7
-    )
+    ])
     phat = recalibrate(joint)
     table = phat.as_dict()
-    assert len(table) == len(joint.level_sets())
+    assert len(table) == len(joint.vals)
     assert all(phat(v) == mean for v, mean in table.items())
-    with pytest.raises(KeyError):
-        phat(math.nextafter(vals[0], 1.0))
+    assert phat(-0.0) == table[0.0] == 1.0
+    for v in (math.nextafter(vals[0], 1.0), math.nextafter(0.0, -1.0),
+              math.nextafter(float(joint.vals[-1]), 2.0)):
+        with pytest.raises(KeyError):
+            phat(v)
 
 
 def test_read_csv_joint_is_small_per_row(tmp_path):
@@ -297,5 +300,5 @@ def test_read_csv_joint_is_small_per_row(tmp_path):
         current = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(joint.level_sets()) == n
+    assert len(joint.vals) == n
     assert current <= 64 * n

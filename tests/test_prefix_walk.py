@@ -74,7 +74,7 @@ class TestPrefixCurves:
     def test_measures_run_in_order_longest_prefix_first(self):
         calls = []
         fs = {name: (lambda joint, name=name: calls.append(
-            (name, len(joint.level_sets()))) or 0.0) for name in ("a", "b")}
+            (name, len(joint.vals))) or 0.0) for name in ("a", "b")}
         prefix_curves(Transcript(((0.2, 1), (0.3, 0), (0.4, 0))), fs)
         assert calls == [("a", 3), ("b", 3), ("a", 2), ("b", 2), ("a", 1),
                          ("b", 1)]
