@@ -16,7 +16,8 @@ measures that are near-linear in the number of distinct predictions, with
 A CSV of CHAIN_ROWS distinct Beta(2, 3) scores gets CHAIN_MEASURES, the
 chain-DP measures smce and emd and the grid DP intce, and must report
 finite values with emd/2 <= smce <= emd within 1e-9; the same file with
-intce at each of HUGE_GRIDS, whose DP is over its step cap, must exit 4.
+intce:<g> at each g of HUGE_GRIDS, whose DP is over its step cap, must
+exit 4.
 A CSV of CHAIN_ROWS uniform scores, every label 1, gets intce alone: its
 worst case, where about half the width caps and a window of half the grid
 remain.
@@ -172,9 +173,8 @@ def main() -> int:
         ok = ok and same_values(Path(tmp))
         chain = Path(tmp) / "chain.csv"
         for grid in HUGE_GRIDS:
-            ok &= run(f"chain.csv intce --grid {grid}",
-                      ["report", str(chain), "--measures", "intce",
-                       "--grid", str(grid)],
+            ok &= run(f"chain.csv intce:{grid}",
+                      ["report", str(chain), "--measures", f"intce:{grid}"],
                       Path(tmp) / "huge-grid.out.json", over_cap=True)
         ok &= run(f"online -T {ROUNDS}",
                   ["online", "-T", str(ROUNDS), *ONLINE_ARGS],

@@ -33,7 +33,7 @@ from .decision import (
     threshold_task,
 )
 from .distance import (
-    DEFAULT_ORACLE_CAP,
+    ORACLE_CAP,
     IntervalPartition,
     OracleSizeError,
     ce_partition,

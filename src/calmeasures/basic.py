@@ -35,11 +35,17 @@ def ece_q_rows(
     order, by one :func:`~calmeasures.empirical.left_sum` over the rows: a
     row's absent levels add +0.0, so each row's value is its joint's, bit
     for bit.  The final power is a Python float power, as for one joint."""
-    if not 1.0 <= q < np.inf:
-        raise ValueError(f"q must be finite and >= 1, got {q}")
+    check_q(q)
     mass, mean = EmpiricalJoint.row_mass_mean(m0, m1)
     totals = left_sum(mass * np.abs(mean - vals) ** q)
     return np.array([total ** (1.0 / q) for total in totals.tolist()])
+
+
+def check_q(q: float) -> float:
+    """``q`` if :func:`ece_q_rows` takes it, else ValueError."""
+    if not 1.0 <= q < np.inf:
+        raise ValueError(f"q must be finite and >= 1, got {q}")
+    return q
 
 
 def tv_characterization(joint: EmpiricalJoint) -> float:
@@ -75,7 +81,12 @@ def binned_ece(joint: EmpiricalJoint, b: int) -> float:
     Reproduces the classic odd/even bucket-count oscillation on nearly
     calibrated predictors straddling a bucket boundary.
     """
-    if b < 1:
-        raise ValueError(f"number of buckets must be >= 1, got {b}")
+    check_buckets(b)
     return ece(joint.with_values(bucket_midpoint(joint.vals, b)))
 
+
+def check_buckets(b: int) -> int:
+    """``b`` if :func:`binned_ece` takes it, else ValueError."""
+    if b < 1:
+        raise ValueError(f"number of buckets must be >= 1, got {b}")
+    return b

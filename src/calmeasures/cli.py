@@ -3,14 +3,18 @@
 Subcommands: report (measure values for a dataset), oracle (distance
 oracles for a finite instance), online (sequential episodes), fixture
 (worked-example emission), plotdata (reliability diagrams and prefix
-curves).  All outputs are deterministic given --seed; floats are printed
-with 17 significant digits so regression diffs are exact.
+curves).  A measure's parameter is the argument of its spec, such as
+``intce:<g>`` or ``kernel:<name>``, in every command that takes
+--measures.  All outputs are deterministic, online's given its --seed, the
+only seed any command takes; floats are printed with 17 significant digits
+so regression diffs are exact.
 
 Exit codes, by :data:`EXIT_CODES`: 0 ok, 1 relation chain violated
 (report --verify-relations), 2 malformed input, argument or output path,
 3 unknown or inapplicable measure, 4 a solve over its size cap, 5 out of
 memory, 6 internal error (any other exception).  A command resolves all its
-measure ids before it computes any.
+measure ids, range-checking their arguments, before it reads its input or
+computes any measure.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ from pathlib import Path
 from . import __version__
 from .basic import ece
 from .distance import (
-    DEFAULT_ORACLE_CAP,
+    DEFAULT_GRID,
     OracleSizeError,
+    check_grid,
     dce_oracle,
     dce_upper_oracle,
     intce_opt,
@@ -139,19 +144,22 @@ def parse_label(y) -> int:
     return int(y)
 
 
-def load_joint(path: str) -> tuple[EmpiricalJoint, FiniteInstance | None]:
+def load_joint(
+    path: str, formats: tuple[str, ...] = (".csv", ".jsonl", ".json")
+) -> tuple[EmpiricalJoint, FiniteInstance | None]:
+    """The joint of the file ``path``, and its instance if it is a
+    FiniteInstance JSON; exit 2 unless its suffix is one of ``formats``."""
     suffix = Path(path).suffix.lower()
+    if suffix not in formats:
+        raise CliError(f"unsupported input format {suffix!r} "
+                       f"(use {', '.join(formats)})", 2)
     with failures(f"input {path}"):
         if suffix == ".csv":
             return read_csv(path), None
         if suffix == ".jsonl":
             return read_jsonl(path), None
-        if suffix == ".json":
-            inst = read_instance_json(path)
-            return project(inst), inst
-    raise CliError(
-        f"unsupported input format {suffix!r} (use .csv, .jsonl, .json)", 2
-    )
+        inst = read_instance_json(path)
+        return project(inst), inst
 
 
 def input_digest(path: str) -> str:
@@ -166,15 +174,15 @@ def split_specs(measures: str) -> list[str]:
     return [m.strip() for m in measures.split(",") if m.strip()]
 
 
-def resolve_guarded(specs: list[str], *settings) -> dict:
-    """Each spec resolved, in order and all before any is computed, with
-    ``settings`` as for ``resolve``, to a measure whose failures name that
-    spec wherever it is called; so is its row form ``rows``, if it has one."""
+def resolve_guarded(specs: list[str]) -> dict:
+    """Each spec resolved, in order and all before any is computed, to a
+    measure whose failures name that spec wherever it is called; so is its
+    row form ``rows``, if it has one."""
     guarded = {}
     for spec in specs:
         label = f"measure {spec!r}"
         with failures(label):
-            f = resolve(spec, *settings)
+            f = resolve(spec)
         guarded[spec] = _guard(label, f)
         if hasattr(f, "rows"):
             guarded[spec].rows = _guard(label, f.rows)
@@ -191,18 +199,13 @@ def _guard(label: str, f):
 
 
 def cmd_report(args) -> None:
+    guarded = resolve_guarded(split_specs(args.measures))
     joint, instance = load_joint(args.input)
-    specs = split_specs(args.measures)
-    guarded = resolve_guarded(specs, args.grid, args.oracle_cap, args.kernel)
     measures = {spec: f(joint, instance) for spec, f in guarded.items()}
     meta = {
         "version": __version__,
         "input": args.input,
         "input_digest": input_digest(args.input),
-        "grid": args.grid,
-        "oracle_cap": args.oracle_cap,
-        "kernel": args.kernel,
-        "seed": args.seed,
         "tolerance": 1e-9,
     }
     obj = {"schema": 1, "measures": measures, "meta": meta}
@@ -226,11 +229,10 @@ def cmd_report(args) -> None:
 
 
 def cmd_oracle(args) -> None:
-    with failures(f"input {args.input}"):
-        instance = read_instance_json(args.input)
-        joint = project(instance)
-    dce = dce_oracle(instance, args.cap)
-    upper = dce_upper_oracle(joint, args.cap)
+    check_grid(args.grid)
+    joint, instance = load_joint(args.input, (".json",))
+    dce = dce_oracle(instance)
+    upper = dce_upper_oracle(joint)
     s = smce(joint)
     intce = intce_opt(joint, args.grid)
     tol = 1e-9
@@ -251,7 +253,6 @@ def cmd_oracle(args) -> None:
             "version": __version__,
             "input_digest": input_digest(args.input),
             "grid": args.grid,
-            "oracle_cap": args.cap,
             "tolerance": tol,
         },
     }
@@ -349,13 +350,14 @@ def cmd_plotdata(args) -> None:
         ):
             lines.append(f"{v:.17g},{mean:.17g},{mass:.17g}")
     elif args.kind == "transcript":
+        measures = split_specs(args.measures)
+        guarded = resolve_guarded(measures)
         with failures(f"input {args.input}"):
             data = json.loads(Path(args.input).read_text("utf-8-sig"))
             transcript = Transcript(
                 tuple((float(p), parse_label(y)) for p, y in data["rounds"])
             )
-        measures = split_specs(args.measures)
-        curves = prefix_curves(transcript, resolve_guarded(measures))
+        curves = prefix_curves(transcript, guarded)
         lines.append("t,p,y," + ",".join(f"prefix_{m}" for m in measures))
         for t, (p, y) in enumerate(transcript.rounds, start=1):
             vals = ",".join(f"{curves[m][t - 1]:.17g}" for m in measures)
@@ -383,18 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="CSV, JSONL, or FiniteInstance JSON")
     p.add_argument("--measures", default="ece,ece2,smce,cdl",
                    help=MEASURES_HELP)
-    p.add_argument("--grid", type=int, default=1000)
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
-    p.add_argument("--kernel", default="laplace")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--verify-relations", action="store_true")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("oracle", help="distance oracles for a finite instance")
     p.add_argument("input", help="FiniteInstance JSON")
-    p.add_argument("--grid", type=int, default=1000)
-    p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_CAP)
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_oracle)
 
@@ -415,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", required=True, choices=sorted(FIXTURES))
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--emit", default=None, help="write instance JSON here")
+    p.add_argument("--emit", default=None, help="write instance JSON here; "
+                   "a fixture of several instances writes each to "
+                   "<stem>_<fixture name><suffix> instead")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_fixture)
 

@@ -22,13 +22,16 @@ import numpy as np
 from .empirical import EmpiricalJoint, FiniteInstance
 from .lipschitz import residuals
 
-DEFAULT_ORACLE_CAP = 12
-MAX_ORACLE_CAP = 13
+# the most points an oracle enumerates the set partitions of
+ORACLE_CAP = 12
+# intce's grid resolution g when none is given
+DEFAULT_GRID = 1000
 
 
 class OracleSizeError(ValueError):
-    """A solve over its size cap: an oracle's instance has more points than
-    the cap allows, or an intce DP would take more than _DP_STEPS steps."""
+    """A solve over its size cap: an oracle's instance has more than
+    ORACLE_CAP points, or an intce DP would take more than _DP_STEPS
+    steps."""
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ def intce_partition(joint: EmpiricalJoint, part: IntervalPartition) -> float:
 # minimized interval calibration error on a breakpoint grid
 
 
-def intce_opt(joint: EmpiricalJoint, g: int = 1000) -> float:
+def intce_opt(joint: EmpiricalJoint, g: int = DEFAULT_GRID) -> float:
     """Min over partitions with breakpoints on the uniform g-grid of
     (CE + width), via a DP over groups of grid cells run for each width
     cap that can still win.
@@ -113,13 +116,7 @@ def intce_opt(joint: EmpiricalJoint, g: int = 1000) -> float:
     2/g: any partition's groups fit grid-aligned intervals after widening
     each end to the enclosing grid point.
     """
-    if g < 2:
-        raise ValueError("grid resolution must be >= 2")
-    # predictions are at most 1, so v * g <= float(g): the cast below is
-    # safe while float(g) < 2**63
-    if float(g) >= 2.0**63:
-        raise ValueError(f"grid resolution g={g} too large: cell indices "
-                         "v * g must fit int64 (g < 2**63)")
+    check_grid(g)
     vals, rs = residuals(joint)
     # values in one grid cell always share a group: merge them into one
     # row; the values are sorted, so each cell's values are one run
@@ -169,6 +166,18 @@ def intce_opt(joint: EmpiricalJoint, g: int = 1000) -> float:
     return float(min(best, (dp[-1] + caps).min()))
 
 
+def check_grid(g: int) -> int:
+    """``g`` if :func:`intce_opt` takes it as its grid, else ValueError."""
+    if g < 2:
+        raise ValueError("grid resolution must be >= 2")
+    # predictions are at most 1, so v * g <= float(g): intce_opt's cast of
+    # v * g to int64 is safe while float(g) < 2**63
+    if float(g) >= 2.0**63:
+        raise ValueError(f"grid resolution g={g} too large: cell indices "
+                         "v * g must fit int64 (g < 2**63)")
+    return g
+
+
 # intce_opt builds its (cells x window x caps) candidates for this many at
 # a time, or for one cell where one cell's are more; it refuses a DP of more
 # than _DP_STEPS of them
@@ -207,8 +216,8 @@ def _subset_plan(n: int) -> tuple[np.ndarray, tuple]:
     popcount layer p its subsets S, the blocks T of S that hold S's
     lowest point (that point plus any subset of the other p - 1) and
     their complements S - T.  The plan on n points holds (3^n - 1) / 2
-    blocks and as many complements: 13.0 MiB at n = 13, 4.5 MiB at 12,
-    0.07 MiB at 8, and 19.9 MiB for every n up to MAX_ORACLE_CAP."""
+    blocks and as many complements: 4.5 MiB at n = 12, 0.07 MiB at 8, and
+    6.8 MiB for every n up to ORACLE_CAP."""
     member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     popcount = member.sum(axis=1)
     layers = []
@@ -224,7 +233,7 @@ def _subset_plan(n: int) -> tuple[np.ndarray, tuple]:
 
 
 def _min_partition_cost(
-    mass: np.ndarray, pred: np.ndarray, cond: np.ndarray, cap: int
+    mass: np.ndarray, pred: np.ndarray, cond: np.ndarray
 ) -> float:
     """Min over set partitions, with each block assigned the mass-weighted
     mean of cond over the block, of sum mass |pred - block value|.
@@ -233,14 +242,10 @@ def _min_partition_cost(
     that hold S's lowest point of cost[T] + f[S - T], solved one popcount
     layer at a time: O(3^n) steps over 2^n block costs.  Which blocks
     each layer takes depends on n alone: :func:`_subset_plan` builds that
-    plan at the first call on n points and keeps it (13.0 MiB at n = 13)."""
-    if not 0 <= cap <= MAX_ORACLE_CAP:
-        raise ValueError(
-            f"oracle cap {cap} is outside the range 0..{MAX_ORACLE_CAP}"
-        )
+    plan at the first call on n points and keeps it (4.5 MiB at n = 12)."""
     n = len(mass)
-    if n > cap:
-        raise OracleSizeError(f"{n} points exceed the oracle cap {cap}")
+    if n > ORACLE_CAP:
+        raise OracleSizeError(f"{n} points exceed the oracle cap {ORACLE_CAP}")
     member, layers = _subset_plan(n)
     # subset sums of (mass, mass * cond), adding the points in index order
     sums = np.zeros((1 << n, 2))
@@ -257,18 +262,14 @@ def _min_partition_cost(
     return float(f[-1])
 
 
-def dce_oracle(
-    instance: FiniteInstance, cap: int = DEFAULT_ORACLE_CAP
-) -> float:
+def dce_oracle(instance: FiniteInstance) -> float:
     """Exact distance to the nearest perfectly calibrated predictor on the
-    instance's own feature space."""
+    instance's own feature space, for at most ORACLE_CAP points."""
     return _min_partition_cost(
-        instance.mass, instance.pred, instance.cond_mean, cap)
+        instance.mass, instance.pred, instance.cond_mean)
 
 
-def dce_upper_oracle(
-    joint: EmpiricalJoint, cap: int = DEFAULT_ORACLE_CAP
-) -> float:
+def dce_upper_oracle(joint: EmpiricalJoint) -> float:
     """Exact minimum l1 movement over calibrated post-processings of the
-    joint's distinct prediction values."""
-    return _min_partition_cost(joint.mass, joint.vals, joint.mean, cap)
+    joint's distinct prediction values, for at most ORACLE_CAP of them."""
+    return _min_partition_cost(joint.mass, joint.vals, joint.mean)

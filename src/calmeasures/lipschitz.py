@@ -103,11 +103,17 @@ def low_degree_ce(joint: EmpiricalJoint, d: int) -> float:
     signed monomial vertex: max over 0 <= k <= d of |E[v^k (y - v)]|, each
     a row of one :func:`~calmeasures.empirical.left_sum` of level terms.
     """
-    if d < 0:
-        raise ValueError(f"degree must be >= 0, got {d}")
+    check_degree(d)
     vals, rs = joint.vals, joint.residual
     sums = left_sum(np.array([vals**k * rs for k in range(d + 1)]))
     return float(np.abs(sums).max())
+
+
+def check_degree(d: int) -> int:
+    """``d`` if :func:`low_degree_ce` takes it, else ValueError."""
+    if d < 0:
+        raise ValueError(f"degree must be >= 0, got {d}")
+    return d
 
 
 def laplace_kernel(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -131,10 +137,15 @@ def kernel_ce(joint: EmpiricalJoint, kernel: str = "laplace") -> float:
     :func:`~calmeasures.empirical.left_sum`, each inner sum first, with no
     BLAS product.  The Gram matrix is rebound to its product with r, so at
     most two k x k arrays are alive at once."""
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}")
+    kern = _KERNELS[check_kernel(kernel)]
     vs, rs = residuals(joint)
-    gram = _KERNELS[kernel](vs[:, None], vs[None, :]) * rs
+    gram = kern(vs[:, None], vs[None, :]) * rs
     quad = left_sum(rs * left_sum(gram))
     return math.sqrt(max(quad, 0.0))
 
+
+def check_kernel(kernel: str) -> str:
+    """``kernel`` if :func:`kernel_ce` takes it, else ValueError."""
+    if kernel not in _KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}")
+    return kernel

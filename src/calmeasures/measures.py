@@ -1,9 +1,13 @@
 """The measure-id registry: one :data:`MEASURES` entry per id, holding an
 argument parser (None when the id takes no argument, wrapped in
 :func:`required` when the argument must be given), a compute function
-``(joint, instance, arg, settings)``, an instance-only flag and, for the
-ids whose measure has one, a row form ``(vals, m0, m1, arg, settings)``
-that returns the measure of each row's joint (see ``basic.ece_q_rows``).
+``(joint, instance, arg)``, an instance-only flag and, for the ids whose
+measure has one, a row form ``(vals, m0, m1, arg)`` that returns the
+measure of each row's joint (see ``basic.ece_q_rows``).  A measure's one
+parameter lives in its spec's argument: the grid of ``intce:<g>``, the
+kernel of ``kernel:<name>``.  The parsers range-check their argument by
+the check the measure's function runs, so a spec is refused when it is
+resolved, before any measure is computed.
 
 Entries call the measure functions through this module's global names at
 call time, so a wrapper installed on a module attribute (as the
@@ -12,16 +16,16 @@ benchmark's span tracer does) also sees the calls made from here.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Callable, Mapping, NamedTuple
 
-from .basic import binned_ece, ece, ece_q, ece_q_rows, tv_characterization
-from .basic import tv_rows
+from .basic import binned_ece, check_buckets, check_q, ece, ece_q
+from .basic import ece_q_rows, tv_characterization, tv_rows
 from .decision import DecisionTask, cdl, cdl_rows, cfdl
-from .distance import DEFAULT_ORACLE_CAP, dce_oracle, dce_upper_oracle
+from .distance import DEFAULT_GRID, check_grid, dce_oracle, dce_upper_oracle
 from .distance import intce_opt
 from .empirical import EmpiricalJoint, FiniteInstance
-from .lipschitz import emd_joints, kernel_ce, low_degree_ce, smce
+from .lipschitz import check_degree, check_kernel, emd_joints, kernel_ce
+from .lipschitz import low_degree_ce, smce
 
 
 class MeasureError(ValueError):
@@ -61,53 +65,52 @@ class Measure(NamedTuple):
 
 
 MEASURES: dict[str, Measure] = {
-    "ece": Measure(None, lambda j, i, a, s: ece(j),
-                   rows=lambda v, m0, m1, a, s: ece_q_rows(v, m0, m1, 1.0)),
-    "ece2": Measure(None, lambda j, i, a, s: ece_q(j, 2.0),
-                    rows=lambda v, m0, m1, a, s: ece_q_rows(v, m0, m1, 2.0)),
-    "ece_q": Measure(required(float), lambda j, i, a, s: ece_q(j, a),
-                     rows=lambda v, m0, m1, a, s: ece_q_rows(v, m0, m1, a)),
-    "tv": Measure(None, lambda j, i, a, s: tv_characterization(j),
-                  rows=lambda v, m0, m1, a, s: tv_rows(v, m0, m1)),
-    "binned": Measure(required(int), lambda j, i, a, s: binned_ece(j, a)),
-    "smce": Measure(None, lambda j, i, a, s: smce(j)),
-    "lowdeg": Measure(required(int), lambda j, i, a, s: low_degree_ce(j, a)),
-    "kernel": Measure(str, lambda j, i, a, s: kernel_ce(j, a or s.kernel)),
-    "emd": Measure(None, lambda j, i, a, s: emd_joints(j)),
-    "cdl": Measure(None, lambda j, i, a, s: cdl(j),
-                   rows=lambda v, m0, m1, a, s: cdl_rows(v, m0, m1)),
+    "ece": Measure(None, lambda j, i, a: ece(j),
+                   rows=lambda v, m0, m1, a: ece_q_rows(v, m0, m1, 1.0)),
+    "ece2": Measure(None, lambda j, i, a: ece_q(j, 2.0),
+                    rows=lambda v, m0, m1, a: ece_q_rows(v, m0, m1, 2.0)),
+    "ece_q": Measure(required(lambda raw: check_q(float(raw))),
+                     lambda j, i, a: ece_q(j, a),
+                     rows=lambda v, m0, m1, a: ece_q_rows(v, m0, m1, a)),
+    "tv": Measure(None, lambda j, i, a: tv_characterization(j),
+                  rows=lambda v, m0, m1, a: tv_rows(v, m0, m1)),
+    "binned": Measure(required(lambda raw: check_buckets(int(raw))),
+                      lambda j, i, a: binned_ece(j, a)),
+    "smce": Measure(None, lambda j, i, a: smce(j)),
+    "lowdeg": Measure(required(lambda raw: check_degree(int(raw))),
+                      lambda j, i, a: low_degree_ce(j, a)),
+    "kernel": Measure(lambda raw: check_kernel(raw or "laplace"),
+                      lambda j, i, a: kernel_ce(j, a)),
+    "emd": Measure(None, lambda j, i, a: emd_joints(j)),
+    "cdl": Measure(None, lambda j, i, a: cdl(j),
+                   rows=lambda v, m0, m1, a: cdl_rows(v, m0, m1)),
     "cfdl": Measure(required(DecisionTask.from_json),
-                    lambda j, i, a, s: cfdl(j, a)),
-    "intce": Measure(None, lambda j, i, a, s: intce_opt(j, s.grid)),
-    "dce_upper": Measure(None, lambda j, i, a, s: dce_upper_oracle(j, s.cap)),
-    "dce": Measure(None, lambda j, i, a, s: dce_oracle(i, s.cap), True),
+                    lambda j, i, a: cfdl(j, a)),
+    "intce": Measure(lambda raw: check_grid(int(raw or DEFAULT_GRID)),
+                     lambda j, i, a: intce_opt(j, a)),
+    "dce_upper": Measure(None, lambda j, i, a: dce_upper_oracle(j)),
+    "dce": Measure(None, lambda j, i, a: dce_oracle(i), True),
 }
 
 
-def resolve(
-    spec: str,
-    grid: int = 1000,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-    kernel: str = "laplace",
-) -> Callable[..., float]:
+def resolve(spec: str) -> Callable[..., float]:
     """Parse ``<id>[:<arg>]`` once into ``f(joint, instance=None)``; for an
     id with a row form, ``f.rows(vals, m0, m1)`` is that form.
 
     An unknown id, an argument on an id that takes none, or an instance-only
-    id called without an instance raises MeasureError; a missing required
-    or malformed argument raises the parser's ValueError or OSError."""
+    id called without an instance raises MeasureError; a missing required,
+    malformed or out-of-range argument raises the parser's ValueError or
+    OSError, from the check the measure's own function runs."""
     found = lookup(spec, MEASURES)
     if found is None:
         raise MeasureError(f"unknown measure {spec!r}")
     entry, arg = found
-    settings = SimpleNamespace(grid=grid, cap=oracle_cap, kernel=kernel)
 
     def measure(joint: EmpiricalJoint, instance: FiniteInstance | None = None):
         if entry.instance_only and instance is None:
             raise MeasureError(f"measure {spec!r} needs a FiniteInstance JSON")
-        return entry.compute(joint, instance, arg, settings)
+        return entry.compute(joint, instance, arg)
 
     if entry.rows is not None:
-        measure.rows = lambda vals, m0, m1: entry.rows(
-            vals, m0, m1, arg, settings)
+        measure.rows = lambda vals, m0, m1: entry.rows(vals, m0, m1, arg)
     return measure

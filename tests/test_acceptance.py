@@ -257,7 +257,7 @@ def test_criterion_11_cli_determinism(tmp_path):
          {"id": "b", "mass": 0.5, "pred": 0.6, "cond_mean": 1.0}]
     ))
     invocations = [
-        ["report", str(csv), "--seed", "3", "--verify-relations"],
+        ["report", str(csv), "--verify-relations"],
         ["oracle", str(inst)],
         ["online", "--forecaster", "grid_random:10", "--adversary",
          "bernoulli:0.4", "-T", "50", "--seed", "3"],

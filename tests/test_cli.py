@@ -148,7 +148,7 @@ class TestReport:
     def test_determinism_byte_identical(self, data_csv, tmp_path, capsys):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
-        args = ["report", data_csv, "--seed", "7", "--measures", "ece,smce"]
+        args = ["report", data_csv, "--measures", "ece,smce"]
         assert main(args + ["-o", str(out1)]) == 0
         assert main(args + ["-o", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -178,12 +178,17 @@ class TestOracle:
                 ]
             )
         )
-        assert main(["oracle", str(p), "--cap", "12"]) == 4
+        assert main(["oracle", str(p)]) == 4
 
     def test_malformed_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
         assert main(["oracle", str(p)]) == 2
+
+    def test_non_json_input_is_refused_by_its_suffix(self, data_csv, capsys):
+        assert main(["oracle", data_csv]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err == "error: unsupported input format '.csv' (use .json)"
 
 
 class TestOnline:
@@ -364,6 +369,13 @@ class TestFixtureCommand:
         names = [f["name"] for f in json.loads(out)["fixtures"]]
         for name in names:
             assert (tmp_path / f"qg_{name}.json").exists()
+
+    def test_pair_fixture_never_writes_the_emit_path(self, tmp_path, capsys):
+        argv = ["fixture", "--name", "quadratic_gap", "--eps", "0.05",
+                "--emit", str(tmp_path / "qg.json")]
+        assert main(argv) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "qg_quadratic_gap_coarse.json", "qg_quadratic_gap_fine.json"]
 
     def test_eps_out_of_range_exit_2(self, capsys):
         assert main(["fixture", "--name", "two_point", "--eps", "0.9"]) == 2

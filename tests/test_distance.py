@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from calmeasures import (
     FiniteInstance,
+    ORACLE_CAP,
     IntervalPartition,
     OracleSizeError,
     ce_partition,
@@ -158,14 +159,13 @@ class TestPartitionEnumeration:
 
 class TestDceOracles:
     def test_cap_enforced(self):
-        inst = random_instance(np.random.default_rng(24), max_points=9)
         big = FiniteInstance.make(
-            [(f"y{i}", 1.0, i / 14, 0.5) for i in range(14)]
+            [(f"y{i}", 1.0, i / 14, 0.5) for i in range(ORACLE_CAP + 1)]
         )
         with pytest.raises(OracleSizeError):
-            dce_oracle(big, cap=12)
-        with pytest.raises(ValueError):
-            dce_oracle(inst, cap=14)
+            dce_oracle(big)
+        with pytest.raises(OracleSizeError):
+            dce_upper_oracle(project(big))
 
     def test_zero_for_calibrated_instance(self):
         inst = FiniteInstance.make(

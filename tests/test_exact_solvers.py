@@ -12,7 +12,6 @@ import pytest
 from calmeasures import (
     EmpiricalJoint,
     FiniteInstance,
-    OracleSizeError,
     dce_oracle,
     dce_upper_oracle,
     emd_joints,
@@ -85,7 +84,7 @@ def seeded_points(n, seed):
 def test_planned_subset_dp_matches_per_call_build_bit_for_bit(n):
     for seed in range(6):
         points = seeded_points(n, seed)
-        assert (_min_partition_cost(*points, 13).hex()
+        assert (_min_partition_cost(*points).hex()
                 == per_call_min_cost(*points).hex())
 
 
@@ -93,7 +92,7 @@ def test_subset_plan_keeps_no_state_between_sizes():
     cases = [seeded_points(n, 100 + n) for n in (8, 6)]
     expected = [per_call_min_cost(*points).hex() for points in cases]
     for i in (0, 1, 0, 1, 0):
-        assert _min_partition_cost(*cases[i], 13).hex() == expected[i]
+        assert _min_partition_cost(*cases[i]).hex() == expected[i]
 
 
 def instance_cases():
@@ -129,15 +128,6 @@ def test_subset_dp_matches_enumeration(mass, pred, cond):
             levels.mass, levels.vals, levels.mean))),
         abs=1e-12,
     )
-
-
-@pytest.mark.parametrize("cap", [14, -1])
-def test_oracles_refuse_cap_outside_range(cap):
-    inst = FiniteInstance.make([("a", 0.5, 0.4, 0.5), ("b", 0.5, 0.6, 0.5)])
-    for oracle, arg in ((dce_oracle, inst), (dce_upper_oracle, project(inst))):
-        with pytest.raises(ValueError) as info:
-            oracle(arg, cap=cap)
-        assert not isinstance(info.value, OracleSizeError)
 
 
 def emd_cases():
@@ -187,14 +177,17 @@ def test_oracle_bad_grid_exits_2(grid, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_report_refuses_dce_upper_cap_beyond_limit(tmp_path, capsys):
+def test_report_refuses_a_bad_grid_before_an_over_cap_oracle(
+        tmp_path, capsys):
+    """dce_upper on 14 distinct predictions would exit 4; intce:1 is
+    refused first, when the specs are resolved."""
     csv = tmp_path / "d.csv"
     rows = "".join(f"{i / 13!r},{i % 2}\n" for i in range(14))
     csv.write_text("prediction,label\n" + rows)
-    argv = ["report", str(csv), "--measures", "dce_upper",
-            "--oracle-cap", "20"]
+    argv = ["report", str(csv), "--measures", "dce_upper,intce:1"]
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == (
+        "error: measure 'intce:1': grid resolution must be >= 2\n")
 
 
 def test_transcript_dce_upper_curve_with_twelve_distinct_predictions(

@@ -38,19 +38,20 @@ def test_unwritable_fixture_emit_exits_2(tmp_path, capsys):
 
 
 def test_overflowing_grid_exits_2(csv, capsys):
-    argv = ["report", csv, "--measures", "intce"]
-    assert main(argv + ["--grid", "100000000000000000000"]) == 2
-    assert one_error_line(capsys).startswith("error: measure 'intce'")
+    argv = ["report", csv, "--measures", "intce:100000000000000000000"]
+    assert main(argv) == 2
+    assert one_error_line(capsys).startswith("error: measure 'intce:1000")
 
 
 def test_huge_grid_is_refused_before_any_cast(csv, capsys):
     """Refused by name, not after numpy warns of an invalid cast."""
-    argv = ["report", csv, "--measures", "intce"]
+    argv = ["report", csv, "--measures", "intce:100000000000000000000"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(argv + ["--grid", "100000000000000000000"]) == 2
+        assert main(argv) == 2
     err = one_error_line(capsys)
-    assert err.startswith("error: measure 'intce': grid resolution g=")
+    assert err.startswith("error: measure 'intce:100000000000000000000': "
+                          "grid resolution g=")
 
 
 def test_intce_over_its_step_cap_exits_4(tmp_path, capsys):
@@ -63,10 +64,11 @@ def test_intce_over_its_step_cap_exits_4(tmp_path, capsys):
     path = tmp_path / "distinct.csv"
     path.write_text("prediction,label\n" + "".join(
         f"{a!r},{b}\n" for a, b in zip(p.tolist(), y.tolist())))
-    argv = ["report", str(path), "--measures", "intce", "--grid", "1000000"]
+    argv = ["report", str(path), "--measures", "intce:1000000"]
     assert main(argv) == 4
     err = one_error_line(capsys)
-    assert err.startswith("error: measure 'intce': grid g=1000000 needs ")
+    assert err.startswith("error: measure 'intce:1000000': grid g=1000000 "
+                          "needs ")
 
 
 def test_reader_out_of_memory_exits_5(csv, monkeypatch, capsys):

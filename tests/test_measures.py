@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from calmeasures import EmpiricalJoint
+from calmeasures import EmpiricalJoint, cli, intce_opt, kernel_ce, read_csv
 from calmeasures import measures as registry
 from calmeasures.cli import main
 from calmeasures.measures import MEASURES, MeasureError, resolve
@@ -95,19 +96,18 @@ def bad_task(tmp_path):
     return f"cfdl:{p}"
 
 
-# (measures, extra report-only flags, rounds, expected exit code)
+# (measures, rounds, expected exit code)
 EXIT_CASES = {
-    "unknown_id": ("nope", [], ROUNDS, 3),
-    "argument_on_plain_id": ("ece:2", [], ROUNDS, 3),
-    "dce_without_instance": ("dce", [], ROUNDS, 3),
-    "malformed_argument": ("binned:x", [], ROUNDS, 2),
-    "unknown_kernel_argument": ("kernel:foo", [], ROUNDS, 2),
-    "unknown_kernel_flag": ("kernel", ["--kernel", "foo"], ROUNDS, 2),
-    "task_without_payoff": (bad_task, [], ROUNDS, 2),
-    "missing_task_file": ("cfdl:/no/such/task.json", [], ROUNDS, 2),
-    "oracle_cap": ("dce_upper", [], WIDE_ROUNDS, 4),
-    "nan_q": ("ece_q:nan", [], ROUNDS, 2),
-    "infinite_q": ("ece_q:inf", [], ROUNDS, 2),
+    "unknown_id": ("nope", ROUNDS, 3),
+    "argument_on_plain_id": ("ece:2", ROUNDS, 3),
+    "dce_without_instance": ("dce", ROUNDS, 3),
+    "malformed_argument": ("binned:x", ROUNDS, 2),
+    "unknown_kernel_argument": ("kernel:foo", ROUNDS, 2),
+    "task_without_payoff": (bad_task, ROUNDS, 2),
+    "missing_task_file": ("cfdl:/no/such/task.json", ROUNDS, 2),
+    "oracle_cap": ("dce_upper", WIDE_ROUNDS, 4),
+    "nan_q": ("ece_q:nan", ROUNDS, 2),
+    "infinite_q": ("ece_q:inf", ROUNDS, 2),
 }
 
 
@@ -117,18 +117,16 @@ EXIT_CASES = {
         (command, case)
         for command in ("report", "online", "plotdata")
         for case in sorted(EXIT_CASES)
-        # --kernel is a report option
-        if command == "report" or not EXIT_CASES[case][1]
     ],
 )
 def test_measure_failures_exit_with_their_code(
     command, case, tmp_path, capsys
 ):
-    measures, flags, rounds, code = EXIT_CASES[case]
+    measures, rounds, code = EXIT_CASES[case]
     if callable(measures):
         measures = measures(tmp_path)
     if command == "report":
-        argv = ["report", write_csv(tmp_path / "d.csv", rounds)] + flags
+        argv = ["report", write_csv(tmp_path / "d.csv", rounds)]
     elif command == "online":
         # against all-ones outcomes the running mean t/(t+1) takes a new
         # value every round
@@ -176,8 +174,88 @@ def test_help_lists_every_id(capsys):
     assert all(name in out for name in MEASURES)
 
 
-def test_oracle_cap_beyond_enumeration_limit_exits_2(tmp_path, capsys):
-    p = tmp_path / "inst.json"
-    p.write_text('[{"id": "a", "mass": 1, "pred": 0.4, "cond_mean": 0.5}]')
-    assert main(["oracle", str(p), "--cap", "14"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+# each argument is out of the range its measure's function takes
+BAD_ARGUMENTS = ("binned:0", "lowdeg:-1", "ece_q:0.5", "kernel:foo",
+                 "intce:1", f"intce:{2**63}")
+
+
+def never_called(*args):
+    raise AssertionError("called after a bad spec")
+
+
+@pytest.mark.parametrize("spec", BAD_ARGUMENTS)
+def test_a_bad_argument_is_refused_before_any_measure_runs(
+    spec, tmp_path, capsys, monkeypatch
+):
+    csv = write_csv(tmp_path / "d.csv", ROUNDS)
+    assert main(["report", csv, "--measures", spec]) == 2
+    (alone,) = capsys.readouterr().err.splitlines()
+    assert alone.startswith(f"error: measure {spec!r}: ")
+
+    # neither the input is read nor smce computed
+    monkeypatch.setattr(cli, "read_csv", never_called)
+    monkeypatch.setattr(registry, "smce", never_called)
+    assert main(["report", csv, "--measures", f"smce,{spec}"]) == 2
+    assert capsys.readouterr().err.splitlines() == [alone]
+
+    transcript = write_transcript(tmp_path / "t.json", ROUNDS)
+    monkeypatch.setattr(cli, "prefix_curves", never_called)
+    argv = ["plotdata", "--kind", "transcript", transcript,
+            "--measures", f"ece,{spec}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [alone]
+
+    monkeypatch.setattr(cli, "run", never_called)
+    argv = ["online", "--forecaster", "constant:0.5", "--adversary", "ones",
+            "-T", "5", "--measures", f"ece,{spec}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [alone]
+
+
+# a coarse grid warns that it merges prediction values
+@pytest.mark.filterwarnings("ignore:grid g=")
+@pytest.mark.parametrize("g", [2, 7, 50, 1000, 12345])
+def test_spec_arguments_give_the_library_values_bit_for_bit(
+    g, tmp_path, capsys
+):
+    rng = np.random.default_rng(g)
+    p = rng.beta(2.0, 3.0, 300).round(3)
+    y = (rng.random(300) < p).astype(int)
+    csv = write_csv(tmp_path / "d.csv", zip(p.tolist(), y.tolist()))
+    specs = f"intce:{g},kernel:gaussian,intce,intce:1000,kernel,kernel:laplace"
+    assert main(["report", csv, "--measures", specs]) == 0
+    joint = read_csv(csv)
+    want = {f"intce:{g}": intce_opt(joint, g),
+            "kernel:gaussian": kernel_ce(joint, "gaussian"),
+            "intce": intce_opt(joint, 1000),
+            "kernel": kernel_ce(joint, "laplace")}
+    got = json.loads(capsys.readouterr().out)["measures"]
+    assert {m: got[m].hex() for m in want} == {
+        m: v.hex() for m, v in want.items()}
+    assert got["intce:1000"] == got["intce"]
+    assert got["kernel:laplace"] == got["kernel"]
+
+
+@pytest.mark.filterwarnings("ignore:grid g=")
+def test_intce_grid_reaches_online_and_plotdata(tmp_path, capsys):
+    """On 40 rounds of a running mean, intce:50 ends its curve at T times
+    its report value and differs from intce at the default g = 1000."""
+    argv = ["online", "--forecaster", "running_mean", "--adversary",
+            "bernoulli:0.3", "-T", "40", "--seed", "1", "--measures",
+            "intce:50,intce"]
+    assert main(argv) == 0
+    online = json.loads(capsys.readouterr().out)
+    rounds = online["rounds"]
+    csv = write_csv(tmp_path / "d.csv", rounds)
+    assert main(["report", csv, "--measures", "intce:50,intce"]) == 0
+    report = json.loads(capsys.readouterr().out)["measures"]
+    transcript = write_transcript(tmp_path / "t.json", rounds)
+    assert main(["plotdata", "--kind", "transcript", transcript,
+                 "--measures", "intce:50,intce"]) == 0
+    last = capsys.readouterr().out.strip().splitlines()[-1].split(",")[3:]
+    assert report["intce:50"] != report["intce"]
+    for spec, plotted in zip(("intce:50", "intce"), last):
+        want = pytest.approx(40 * report[spec], abs=1e-12)
+        assert online["prefix_curves"][spec][-1] == want
+        assert online["sequence_measures"][spec] == want
+        assert float(plotted) == want

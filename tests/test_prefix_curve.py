@@ -26,7 +26,7 @@ from calmeasures import (
     sequence_measure,
 )
 from calmeasures import measures, online
-from calmeasures.distance import DEFAULT_ORACLE_CAP
+from calmeasures.distance import ORACLE_CAP
 from calmeasures.measures import MEASURES, resolve
 
 ORACLES = {"dce_upper", "intce"}
@@ -146,12 +146,12 @@ class TestNoRebuild:
         calls = []
         oracle = measures.dce_upper_oracle
 
-        def counted(joint, cap):
+        def counted(joint):
             calls.append(len(joint.vals))
-            return oracle(joint, cap)
+            return oracle(joint)
 
         monkeypatch.setattr(measures, "dce_upper_oracle", counted)
-        k = DEFAULT_ORACLE_CAP + 3
+        k = ORACLE_CAP + 3
         transcript = Transcript(tuple(
             ((i + 0.5) / k, i % 2) for i in range(k)))
         with pytest.raises(OracleSizeError):
