@@ -9,8 +9,12 @@ curves).  A measure's parameter is the argument of its spec, such as
 only seed any command takes; floats are printed with 17 significant digits
 so regression diffs are exact.
 
-Exit codes, by :data:`EXIT_CODES`: 0 ok, 1 relation chain violated
-(report --verify-relations), 2 malformed input, argument or output path,
+report --verify-relations and oracle check the relations of
+``measures.RELATIONS`` between the values they compute; oracle computes
+intce at its default grid.
+
+Exit codes, by :data:`EXIT_CODES`: 0 ok, 1 a relation violated (report
+--verify-relations, naming each), 2 malformed input, argument or output path,
 3 unknown or inapplicable measure, 4 a solve over its size cap, 5 out of
 memory, 6 internal error (any other exception).  A command resolves all its
 measure ids, range-checking their arguments, before it reads its input or
@@ -33,7 +37,6 @@ from .basic import ece
 from .distance import (
     DEFAULT_GRID,
     OracleSizeError,
-    check_grid,
     dce_oracle,
     dce_upper_oracle,
     intce_opt,
@@ -49,7 +52,8 @@ from .empirical import (
 )
 from .fixtures import FIXTURES, Fixture, verify
 from .lipschitz import smce
-from .measures import MEASURES, MeasureError, lookup, resolve
+from .measures import MEASURES, TOL, MeasureError, lookup, relation_checks
+from .measures import resolve
 from .online import ADVERSARIES, FORECASTERS, Transcript, prefix_curves, run
 
 
@@ -60,7 +64,7 @@ class CliError(Exception):
 
 
 # Each failure type with its exit code, the first match wins: OracleSizeError
-# and MeasureError are ValueErrors.  Exit 1 is left to the relation chain.
+# and MeasureError are ValueErrors.  Exit 1 is left to a violated relation.
 EXIT_CODES: dict[type[Exception], int] = {
     OracleSizeError: 4, MeasureError: 3, MemoryError: 5,
     OSError: 2, ValueError: 2, KeyError: 2, TypeError: 2, OverflowError: 2,
@@ -177,7 +181,7 @@ def split_specs(measures: str) -> list[str]:
 def resolve_guarded(specs: list[str]) -> dict:
     """Each spec resolved, in order and all before any is computed, to a
     measure whose failures name that spec wherever it is called; so is its
-    row form ``rows``, if it has one."""
+    row form ``rows``, if it has one.  Its parsed argument is ``arg``."""
     guarded = {}
     for spec in specs:
         label = f"measure {spec!r}"
@@ -190,12 +194,13 @@ def resolve_guarded(specs: list[str]) -> dict:
 
 
 def _guard(label: str, f):
-    """``f`` with its failures re-raised by ``failures(label)``."""
+    """``f`` with its failures re-raised by ``failures(label)``, and with
+    its attributes, such as a measure's ``arg``."""
     def call(*args):
         with failures(label):
             return f(*args)
 
-    return call
+    return functools.update_wrapper(call, f)
 
 
 def cmd_report(args) -> None:
@@ -206,54 +211,36 @@ def cmd_report(args) -> None:
         "version": __version__,
         "input": args.input,
         "input_digest": input_digest(args.input),
-        "tolerance": 1e-9,
+        "tolerance": TOL,
     }
     obj = {"schema": 1, "measures": measures, "meta": meta}
     if args.verify_relations:
         # reuse the values already reported; compute only the missing ones
-        chain = ("ece", "ece2", "cdl")
-        missing = resolve_guarded([m for m in chain if m not in measures])
-        e1, e2, c = (
-            measures[m] if m in measures else missing[m](joint) for m in chain
-        )
-        checks = {
-            "ece_sq_le_ece2_sq": e1**2 <= e2**2 + 1e-9,
-            "ece2_sq_le_cdl": e2**2 <= c + 1e-9,
-            "cdl_le_2ece": c <= 2.0 * e1 + 1e-9,
-            "2ece_le_2ece2": 2.0 * e1 <= 2.0 * e2 + 1e-9,
-        }
-        obj["relation_checks"] = checks
-        if not all(checks.values()):
-            raise CliError("relation chain violated", 1)
+        guarded.update(resolve_guarded(
+            [m for m in ("ece", "ece2", "cdl") if m not in measures]))
+        values = {spec: measures[spec] if spec in measures else f(joint)
+                  for spec, f in guarded.items()}
+        obj["relation_checks"] = checks = relation_checks(
+            values, {spec: f.arg for spec, f in guarded.items()})
+        violated = [name for name, ok in checks.items() if not ok]
+        if violated:
+            raise CliError("relation violated: " + ", ".join(violated), 1)
     emit(obj, args.output)
 
 
 def cmd_oracle(args) -> None:
-    check_grid(args.grid)
     joint, instance = load_joint(args.input, (".json",))
-    dce = dce_oracle(instance)
-    upper = dce_upper_oracle(joint)
-    s = smce(joint)
-    intce = intce_opt(joint, args.grid)
-    tol = 1e-9
+    values = dict(dce=dce_oracle(instance), dce_upper=dce_upper_oracle(joint),
+                  intce=intce_opt(joint, DEFAULT_GRID), smce=smce(joint))
     obj = {
         "schema": 1,
-        "dce": dce,
-        "dce_upper": upper,
-        "intce": intce,
-        "smce": s,
-        "sandwich_checks": {
-            "smce_half_le_dce": s / 2.0 <= dce + tol,
-            "dce_le_dce_upper": dce <= upper + 1e-12,
-            "dce_upper_le_4_sqrt_dce": upper <= 4.0 * dce**0.5 + tol,
-            "dce_upper_le_intce": upper <= intce + 2.0 / args.grid,
-            "dce_upper_le_ece": upper <= ece(joint) + 1e-12,
-        },
+        **values,
+        "sandwich_checks": relation_checks(
+            {**values, "ece": ece(joint)}, {"intce": DEFAULT_GRID}),
         "meta": {
             "version": __version__,
             "input_digest": input_digest(args.input),
-            "grid": args.grid,
-            "tolerance": tol,
+            "tolerance": TOL,
         },
     }
     emit(obj, args.output)
@@ -341,6 +328,8 @@ def cmd_fixture(args) -> None:
 
 
 def cmd_plotdata(args) -> None:
+    measures = split_specs(args.measures)
+    guarded = resolve_guarded(measures)
     lines: list[str] = []
     if args.kind == "reliability":
         joint, _ = load_joint(args.input)
@@ -350,8 +339,6 @@ def cmd_plotdata(args) -> None:
         ):
             lines.append(f"{v:.17g},{mean:.17g},{mass:.17g}")
     elif args.kind == "transcript":
-        measures = split_specs(args.measures)
-        guarded = resolve_guarded(measures)
         with failures(f"input {args.input}"):
             data = json.loads(Path(args.input).read_text("utf-8-sig"))
             transcript = Transcript(
@@ -391,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="distance oracles for a finite instance")
     p.add_argument("input", help="FiniteInstance JSON")
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_oracle)
 

@@ -129,7 +129,7 @@ class TestReport:
         assert main(argv + ["--measures", "ece,cdl"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: relation chain violated\n"
+        assert captured.err == "error: relation violated: cdl_le_2ece\n"
 
     def test_dce_of_an_instance_equals_the_oracle(self, instance_json,
                                                   capsys):
@@ -418,6 +418,19 @@ class TestPlotdata:
         lines = out.strip().splitlines()
         assert lines[0] == "prediction,conditional_mean,mass"
         assert len(lines) == 4  # header + 3 distinct values
+
+    @pytest.mark.parametrize("specs,code", [("nope,binned:0", 3),
+                                            ("binned:0", 2)])
+    def test_reliability_resolves_its_measures(self, data_csv, specs, code,
+                                               capsys):
+        """As report does, before the input is read: the CSV is not
+        printed."""
+        argv = ["plotdata", "--kind", "reliability", data_csv, "--measures"]
+        assert main(argv + [specs]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (err,) = captured.err.splitlines()
+        assert err.startswith(f"error: measure {specs.split(',')[0]!r}: ")
 
     def test_transcript_rows(self, tmp_path, capsys):
         p = tmp_path / "t.json"

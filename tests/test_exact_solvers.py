@@ -18,7 +18,6 @@ from calmeasures import (
     from_samples,
     project,
     smce,
-    write_instance_json,
 )
 from calmeasures.cli import main
 from calmeasures.distance import _min_partition_cost
@@ -159,22 +158,6 @@ def test_emd_smce_sandwich_at_a_thousand_values():
     joint = from_samples(list(zip(vs, labels)))
     d, s = emd_joints(joint), smce(joint)
     assert d / 2.0 - 1e-12 <= s <= d + 1e-12
-
-
-def write_instance(path, points):
-    write_instance_json(FiniteInstance.make(points), path)
-    return str(path)
-
-
-@pytest.mark.parametrize("grid", ["1", "0"])
-def test_oracle_bad_grid_exits_2(grid, tmp_path, capsys):
-    inst = write_instance(
-        tmp_path / "i.json", [("a", 0.5, 0.4, 0.5), ("b", 0.5, 0.6, 0.5)]
-    )
-    assert main(["oracle", inst, "--grid", grid]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_report_refuses_a_bad_grid_before_an_over_cap_oracle(
