@@ -51,8 +51,8 @@ def main():
         for name, (left, right, slack) in RELATIONS.items():
             for s, t in itertools.product(SPECS, SPECS):
                 if s.split(":")[0] == left and t.split(":")[0] == right:
-                    worst[name] = min(worst[name], slack(
-                        values[s], values[t], measures[t].arg))
+                    worst[name] = min(worst[name],
+                                      slack(values[s], values[t]))
 
     print(f"trials: {args.trials}, seed: {args.seed}")
     for name, slack in worst.items():

@@ -22,14 +22,11 @@ from .basic import (
     tv_characterization,
 )
 from .decision import (
-    ConvexPotential,
     DecisionTask,
     best_response,
     cdl,
     cfdl,
-    cfdl_bregman,
     quadratic_task,
-    task_potential,
     threshold_task,
 )
 from .distance import (

@@ -181,7 +181,7 @@ def split_specs(measures: str) -> list[str]:
 def resolve_guarded(specs: list[str]) -> dict:
     """Each spec resolved, in order and all before any is computed, to a
     measure whose failures name that spec wherever it is called; so is its
-    row form ``rows``, if it has one.  Its parsed argument is ``arg``."""
+    row form ``rows``, if it has one."""
     guarded = {}
     for spec in specs:
         label = f"measure {spec!r}"
@@ -194,13 +194,12 @@ def resolve_guarded(specs: list[str]) -> dict:
 
 
 def _guard(label: str, f):
-    """``f`` with its failures re-raised by ``failures(label)``, and with
-    its attributes, such as a measure's ``arg``."""
+    """``f`` with its failures re-raised by ``failures(label)``."""
     def call(*args):
         with failures(label):
             return f(*args)
 
-    return functools.update_wrapper(call, f)
+    return call
 
 
 def cmd_report(args) -> None:
@@ -220,8 +219,7 @@ def cmd_report(args) -> None:
             [m for m in ("ece", "ece2", "cdl") if m not in measures]))
         values = {spec: measures[spec] if spec in measures else f(joint)
                   for spec, f in guarded.items()}
-        obj["relation_checks"] = checks = relation_checks(
-            values, {spec: f.arg for spec, f in guarded.items()})
+        obj["relation_checks"] = checks = relation_checks(values)
         violated = [name for name, ok in checks.items() if not ok]
         if violated:
             raise CliError("relation violated: " + ", ".join(violated), 1)
@@ -235,8 +233,7 @@ def cmd_oracle(args) -> None:
     obj = {
         "schema": 1,
         **values,
-        "sandwich_checks": relation_checks(
-            {**values, "ece": ece(joint)}, {"intce": DEFAULT_GRID}),
+        "sandwich_checks": relation_checks({**values, "ece": ece(joint)}),
         "meta": {
             "version": __version__,
             "input_digest": input_digest(args.input),

@@ -2,22 +2,18 @@
 
 A decision task is a finite action set with [0,1]-bounded payoffs over the
 two outcomes.  The payoff lost by best-responding to a miscalibrated
-predictor instead of its recalibration is the fixed decision loss; its
-supremum over all bounded tasks reduces to a one-dimensional scan over
-V-shaped divergences, which is how :func:`cdl` evaluates it exactly.
-
-The fixed decision loss is computed by two independent routes: directly
-from expected payoffs (:func:`cfdl`) and through the Bregman divergence of
-the task's induced convex potential (:func:`cfdl_bregman`).  The two agree
-to float precision; the pairing is the module's central consistency check.
-Both evaluate all level sets at once; the Bregman route takes potentials on
-arrays and its subgradients from the task's best responses.
+predictor instead of its recalibration is the fixed decision loss,
+:func:`cfdl`, computed from expected payoffs over all level sets at once.
+It equals the mass-weighted Bregman divergence of the task's convex
+potential, the pointwise max of its payoff lines, which is the form the
+tests check it against.  Its supremum over all bounded tasks reduces to a
+one-dimensional scan over V-shaped divergences, which is how :func:`cdl`
+evaluates it exactly.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,15 +44,21 @@ class DecisionTask:
 
     @staticmethod
     def from_json(path: str | Path) -> "DecisionTask":
+        """The task of a JSON object with a list ``actions`` and a list
+        ``payoff`` of rows [u(a,0), u(a,1)], each a list of two numbers."""
         with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
         try:
-            return DecisionTask(
-                tuple(str(a) for a in data["actions"]),
-                tuple((float(r[0]), float(r[1])) for r in data["payoff"]),
-            )
-        except (KeyError, IndexError, TypeError) as exc:
+            actions, rows = data["actions"], data["payoff"]
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed task file {path}: {exc!r}") from exc
+        if not (isinstance(actions, list) and isinstance(rows, list) and all(
+                isinstance(r, list) and len(r) == 2
+                and all(type(u) in (int, float) for u in r) for r in rows)):
+            raise ValueError(f"malformed task file {path}: actions must be a "
+                             "list and each payoff row two numbers")
+        return DecisionTask(tuple(str(a) for a in actions),
+                            tuple((float(u0), float(u1)) for u0, u1 in rows))
 
 
 def threshold_task(vstar: float) -> DecisionTask:
@@ -105,129 +107,6 @@ def cfdl(joint: EmpiricalJoint, task: DecisionTask) -> float:
     u, v = task.payoff_matrix(), joint.vals
     gain = u[_best_responses(u, joint.mean)] - u[_best_responses(u, v)]
     return left_sum(joint.m0 * gain[:, 0], joint.m1 * gain[:, 1])
-
-
-# ---------------------------------------------------------------------------
-# convex potentials and Bregman divergences
-
-
-@dataclass(frozen=True)
-class ConvexPotential:
-    """Piecewise-linear convex function on [0, 1].
-
-    breakpoints are segment boundaries 0 = b_0 < ... < b_k = 1; slopes has
-    one nondecreasing entry per segment.  value and subgradient take a
-    float or an array of points in [0, 1], each on the last segment that
-    starts at or below it (one searchsorted), so a kink takes its
-    right-hand slope.
-    """
-
-    breakpoints: tuple[float, ...]
-    slopes: tuple[float, ...]
-    value0: float = 0.0
-
-    def __post_init__(self):
-        bs, ss = self.breakpoints, self.slopes
-        if len(bs) < 2 or bs[0] != 0.0 or bs[-1] != 1.0:
-            raise ValueError("breakpoints must run from 0 to 1")
-        if any(b2 <= b1 for b1, b2 in zip(bs, bs[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        if len(ss) != len(bs) - 1:
-            raise ValueError("one slope per segment required")
-        if any(s2 < s1 - 1e-12 for s1, s2 in zip(ss, ss[1:])):
-            raise ValueError("slopes must be nondecreasing (convexity)")
-
-    def _locate(self, v):
-        """(v as an array, each point's segment)."""
-        x = np.asarray(v, dtype=float)
-        bad = ~((x >= 0.0) & (x <= 1.0))
-        if bad.any():
-            raise ValueError(f"argument {x[bad][0]} outside [0, 1]")
-        seg = np.searchsorted(self.breakpoints, x, side="right") - 1
-        return x, np.minimum(seg, len(self.slopes) - 1)
-
-    def value(self, v):
-        """phi(v): phi at the segment's left breakpoint, a sum from value0
-        of slope times width in segment order, plus slope times the rest."""
-        x, seg = self._locate(v)
-        bs, ss = np.array(self.breakpoints), np.array(self.slopes)
-        left = np.cumsum(np.append(self.value0, ss[:-1] * np.diff(bs)[:-1]))
-        out = left[seg] + ss[seg] * (x - bs[seg])
-        return out if out.ndim else float(out)
-
-    def subgradient(self, v):
-        out = np.array(self.slopes)[self._locate(v)[1]]
-        return out if out.ndim else float(out)
-
-
-def _upper_envelope(
-    lines: list[tuple[float, float]]
-) -> tuple[list[float], list[tuple[float, float]]]:
-    """Upper envelope of lines (slope, intercept) on [0, 1].
-
-    Returns segment boundaries [0, ..., 1] and the governing line per
-    segment, slopes nondecreasing.
-    """
-    lines = sorted(lines, key=lambda sl: (sl[0], sl[1]))
-    dedup: list[tuple[float, float]] = []
-    for s, b in lines:
-        if dedup and dedup[-1][0] == s:
-            dedup[-1] = (s, b)  # same slope: keep the larger intercept
-        else:
-            dedup.append((s, b))
-    hull: list[tuple[float, float]] = []
-    xs: list[float] = []  # intersection of hull[i] and hull[i+1]
-    for s, b in dedup:
-        while hull:
-            s0, b0 = hull[-1]
-            x = (b - b0) / (s0 - s)  # s > s0 after dedup
-            if xs and x <= xs[-1]:
-                hull.pop()
-                xs.pop()
-            else:
-                xs.append(x)
-                break
-        hull.append((s, b))
-    # clip to [0, 1]
-    bounds = [0.0]
-    segs: list[tuple[float, float]] = []
-    for i, line in enumerate(hull):
-        lo = xs[i - 1] if i > 0 else -math.inf
-        hi = xs[i] if i < len(xs) else math.inf
-        lo, hi = max(lo, 0.0), min(hi, 1.0)
-        if hi > lo:
-            segs.append(line)
-            bounds.append(hi)
-    bounds[-1] = 1.0
-    return bounds, segs
-
-
-def task_potential(task: DecisionTask) -> ConvexPotential:
-    """Convex potential of a task: the upper envelope of the per-action
-    payoff lines v -> u(a,0) + (u(a,1) - u(a,0)) v.
-
-    At a kink its subgradient is the envelope's right-hand slope, not
-    always the slope of the task's best response there, which
-    :func:`cfdl_bregman` takes.
-    """
-    lines = [(float(r[1] - r[0]), float(r[0])) for r in task.payoff_matrix()]
-    bounds, segs = _upper_envelope(lines)
-    slopes = tuple(s for s, _ in segs)
-    value0 = segs[0][1]  # first governing line evaluated at v = 0
-    return ConvexPotential(tuple(bounds), slopes, value0=value0)
-
-
-def cfdl_bregman(joint: EmpiricalJoint, task: DecisionTask) -> float:
-    """Fixed decision loss as the sum over level sets of mass * (phi(mean)
-    - phi(v) - g (mean - v)), phi the task potential, in one array
-    expression.  g is the slope u(a,1) - u(a,0) of the best response a to
-    v (lowest index at a tie), so at a kink it is the subgradient for
-    which this route equals :func:`cfdl`."""
-    v, mean = joint.vals, joint.mean
-    phi, u = task_potential(task), task.payoff_matrix()
-    g = (u[:, 1] - u[:, 0])[_best_responses(u, v)]
-    div = phi.value(mean) - phi.value(v) - g * (mean - v)
-    return left_sum(joint.mass * div)
 
 
 # ---------------------------------------------------------------------------

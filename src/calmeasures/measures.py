@@ -98,9 +98,8 @@ MEASURES: dict[str, Measure] = {
 
 
 def resolve(spec: str) -> Callable[..., float]:
-    """Parse ``<id>[:<arg>]`` once into ``f(joint, instance=None)``, with
-    the parsed argument as ``f.arg`` (None for an id that takes none); for
-    an id with a row form, ``f.rows(vals, m0, m1)`` is that form.
+    """Parse ``<id>[:<arg>]`` once into ``f(joint, instance=None)``; for an
+    id with a row form, ``f.rows(vals, m0, m1)`` is that form.
 
     An unknown id, an argument on an id that takes none, or an instance-only
     id called without an instance raises MeasureError; a missing required,
@@ -116,7 +115,6 @@ def resolve(spec: str) -> Callable[..., float]:
             raise MeasureError(f"measure {spec!r} needs a FiniteInstance JSON")
         return entry.compute(joint, instance, arg)
 
-    measure.arg = arg
     if entry.rows is not None:
         measure.rows = lambda vals, m0, m1: entry.rows(vals, m0, m1, arg)
     return measure
@@ -126,42 +124,38 @@ def resolve(spec: str) -> Callable[..., float]:
 TOL = 1e-9
 
 # The proven inequalities between measures: name -> (left id, right id,
-# slack).  ``left`` <= ``right`` holds when ``slack(x, y, a)`` is >= 0, the
-# right side minus the left at the left id's value x, the right id's value
-# y and the right spec's parsed argument a.  For finite floats, y + TOL - x
-# is >= 0 exactly when x <= y + TOL.  Each relation's proof is in the
-# docstring of its test in tests/test_relations.py.
-RELATIONS: dict[str, tuple[str, str, Callable[..., float]]] = {
-    "ece_sq_le_ece2_sq": ("ece", "ece2", lambda x, y, a: y**2 + TOL - x**2),
-    "ece2_sq_le_cdl": ("ece2", "cdl", lambda x, y, a: y + TOL - x**2),
-    "cdl_le_2ece": ("cdl", "ece", lambda x, y, a: 2.0 * y + TOL - x),
-    "2ece_le_2ece2": ("ece", "ece2", lambda x, y, a: 2.0 * y + TOL - 2.0 * x),
-    "smce_half_le_dce": ("smce", "dce", lambda x, y, a: y + TOL - x / 2.0),
-    "dce_le_dce_upper": ("dce", "dce_upper", lambda x, y, a: y + TOL - x),
+# slack).  ``left`` <= ``right`` holds when ``slack(x, y)`` is >= 0, the
+# right side minus the left at the left id's value x and the right id's
+# value y.  For finite floats, y + TOL - x is >= 0 exactly when
+# x <= y + TOL.  Each relation's proof is in the docstring of its test in
+# tests/test_relations.py.
+RELATIONS: dict[str, tuple[str, str, Callable[[float, float], float]]] = {
+    "ece_sq_le_ece2_sq": ("ece", "ece2", lambda x, y: y**2 + TOL - x**2),
+    "ece2_sq_le_cdl": ("ece2", "cdl", lambda x, y: y + TOL - x**2),
+    "cdl_le_2ece": ("cdl", "ece", lambda x, y: 2.0 * y + TOL - x),
+    "2ece_le_2ece2": ("ece", "ece2", lambda x, y: 2.0 * y + TOL - 2.0 * x),
+    "smce_half_le_dce": ("smce", "dce", lambda x, y: y + TOL - x / 2.0),
+    "dce_le_dce_upper": ("dce", "dce_upper", lambda x, y: y + TOL - x),
     "dce_upper_le_4_sqrt_dce": ("dce_upper", "dce",
-                                lambda x, y, a: 4.0 * y**0.5 + TOL - x),
-    # the leeway 2/g is what intce's grid g may add to its optimum
-    "dce_upper_le_intce": ("dce_upper", "intce",
-                           lambda x, y, a: y + 2.0 / a - x),
-    "dce_upper_le_ece": ("dce_upper", "ece", lambda x, y, a: y + TOL - x),
-    "smce_le_ece": ("smce", "ece", lambda x, y, a: y + TOL - x),
-    "emd_half_le_smce": ("emd", "smce", lambda x, y, a: y + TOL - x / 2.0),
-    "smce_le_emd": ("smce", "emd", lambda x, y, a: y + TOL - x),
-    "tv_le_ece": ("tv", "ece", lambda x, y, a: y + TOL - x),
-    "ece_le_tv": ("ece", "tv", lambda x, y, a: y + TOL - x),
-    "lowdeg_le_ece": ("lowdeg", "ece", lambda x, y, a: y + TOL - x),
-    "kernel_le_ece": ("kernel", "ece", lambda x, y, a: y + TOL - x),
+                                lambda x, y: 4.0 * y**0.5 + TOL - x),
+    "dce_upper_le_intce": ("dce_upper", "intce", lambda x, y: y + TOL - x),
+    "dce_upper_le_ece": ("dce_upper", "ece", lambda x, y: y + TOL - x),
+    "smce_le_ece": ("smce", "ece", lambda x, y: y + TOL - x),
+    "emd_half_le_smce": ("emd", "smce", lambda x, y: y + TOL - x / 2.0),
+    "smce_le_emd": ("smce", "emd", lambda x, y: y + TOL - x),
+    "tv_le_ece": ("tv", "ece", lambda x, y: y + TOL - x),
+    "ece_le_tv": ("ece", "tv", lambda x, y: y + TOL - x),
+    "lowdeg_le_ece": ("lowdeg", "ece", lambda x, y: y + TOL - x),
+    "kernel_le_ece": ("kernel", "ece", lambda x, y: y + TOL - x),
 }
 
 
-def relation_checks(values: Mapping, args: Mapping) -> dict[str, bool]:
+def relation_checks(values: Mapping) -> dict[str, bool]:
     """Whether each relation whose two ids are among the specs of
     ``values`` holds, in table order: at every pair of a left and a right
-    spec, when an id is given by several (``lowdeg:2,lowdeg:3``).  ``args``
-    maps a spec to its parsed argument, as its resolution holds it; a spec
-    not in ``args`` has none."""
+    spec, when an id is given by several (``lowdeg:2,lowdeg:3``)."""
     ids = {spec: spec.partition(":")[0] for spec in values}
-    return {name: all(slack(values[s], values[t], args.get(t)) >= 0.0
+    return {name: all(slack(values[s], values[t]) >= 0.0
                       for s in values if ids[s] == left
                       for t in values if ids[t] == right)
             for name, (left, right, slack) in RELATIONS.items()

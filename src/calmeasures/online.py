@@ -83,8 +83,9 @@ class RunningMeanForecaster(Forecaster):
     equals ``sum(ys)``."""
 
     def __init__(self, a: float = 1.0, b: float = 1.0):
-        if a < 0.0 or b < 0.0 or a + b <= 0.0:
-            raise ValueError("prior pseudocounts must be nonnegative, a+b > 0")
+        if not (a >= 0.0 and b >= 0.0 and 0.0 < a + b < float("inf")):
+            raise ValueError("prior pseudocounts must be nonnegative, with "
+                             "a finite a+b > 0")
         self.a = a
         self.b = b
         self._ys: list[int] = []

@@ -10,6 +10,9 @@ is a test dependency only.  Each name and the fact it checks:
   maximum over sign patterns is :func:`~calmeasures.basic.ece`.
 - :func:`restricted_growth_strings` enumerates the set partitions that the
   subset DP of the distance oracles minimizes over.
+- :func:`interval_ce_brute` is the interval CE over every grouping of
+  consecutive levels, which :func:`~calmeasures.distance.intce_opt` bounds
+  from above, within 2/g when no grid cell holds two predictions.
 - :func:`surrogate_masses` gives the Bernoulli surrogate of a joint, the
   target of :func:`emd_lp_oracle`'s transport; both its columns are
   probability distributions.
@@ -17,8 +20,10 @@ is a test dependency only.  Each name and the fact it checks:
   weight function: smce dominates every 1-Lipschitz weight in [-1, 1].
 - :func:`expected_payoff` is a policy's payoff on a joint: on a calibrated
   joint no policy beats the per-value best response.
-- :func:`bregman` is a potential's Bregman divergence, >= 0 for the convex
-  potential of every task.
+- :func:`task_bregman` is the Bregman divergence of a task's convex
+  potential, the max of its payoff lines: >= 0 for every task.
+  :func:`cfdl_bregman` sums it over the level sets, weighted by mass: it
+  equals :func:`~calmeasures.decision.cfdl`, the payoff route.
 - :func:`v_divergence` is the Bregman divergence of |v - vstar|: the
   threshold task's cfdl is their mass-weighted sum, and cdl their sup.
 - :class:`CanonicalPredictor` and :func:`canonical_predictor` map each
@@ -34,13 +39,14 @@ ids and the ``oracle`` subcommand are production paths and stay in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
 from scipy.optimize import linprog
 
-from calmeasures.decision import DecisionTask
+from calmeasures.decision import DecisionTask, _best_responses
 from calmeasures.distance import IntervalPartition
 from calmeasures.empirical import EmpiricalJoint, left_sum
 from calmeasures.lipschitz import residuals
@@ -124,6 +130,23 @@ def restricted_growth_strings(n: int) -> Iterator[list[int]]:
     yield from rec(1, 0)
 
 
+def interval_ce_brute(joint: EmpiricalJoint) -> float:
+    """Least sum over groups of |sum of the residuals c_v| plus the widest
+    group's span, max v - min v, over the 2^(k-1) groupings of the k
+    levels into runs of consecutive predictions; k <= 12."""
+    vals, rs = (col.tolist() for col in residuals(joint))
+    k = len(vals)
+    if k > 12:
+        raise ValueError(f"{k} levels, more than 12")
+    best = float("inf")
+    for cuts in itertools.product((False, True), repeat=k - 1):
+        ends = [0, *(i + 1 for i, cut in enumerate(cuts) if cut), k]
+        runs = list(zip(ends, ends[1:]))
+        ce = sum(abs(sum(rs[a:b])) for a, b in runs)
+        best = min(best, ce + max(vals[b - 1] - vals[a] for a, b in runs))
+    return best
+
+
 def surrogate_masses(
     joint: EmpiricalJoint,
 ) -> dict[tuple[float, int], tuple[float, float]]:
@@ -181,14 +204,32 @@ def expected_payoff(
     return left_sum(joint.m0 * u[:, 0], joint.m1 * u[:, 1])
 
 
-def bregman(phi, mu_star: float, mu: float) -> float:
-    """phi(mu*) - phi(mu) - grad_phi(mu) (mu* - mu); >= 0 for convex phi."""
-    for arg in (mu_star, mu):
-        if not 0.0 <= arg <= 1.0:
-            raise ValueError(f"argument {arg} outside [0, 1]")
-    return phi.value(mu_star) - phi.value(mu) - phi.subgradient(mu) * (
-        mu_star - mu
-    )
+def task_bregman(task: DecisionTask, mean: np.ndarray,
+                 v: np.ndarray) -> np.ndarray:
+    """phi(mean) - phi(v) - g (mean - v) at each pair of entries, with
+    phi(x) = max_a u(a,0) + (u(a,1) - u(a,0)) x the task's convex potential
+    and g the slope u(a,1) - u(a,0) of the best response a to v (lowest
+    index at a tie), a subgradient of phi at v; so each entry is >= 0.
+    The lines are scored in blocks of ~2^20 payoffs."""
+    u = task.payoff_matrix()
+    slope = u[:, 1] - u[:, 0]
+
+    def phi(x):
+        return np.concatenate([
+            (u[:, 0] + np.outer(b, slope)).max(axis=1)
+            for b in np.array_split(x, max(1, len(x) * len(u) >> 20))
+        ])
+
+    g = slope[_best_responses(u, v)]
+    return phi(mean) - phi(v) - g * (mean - v)
+
+
+def cfdl_bregman(joint: EmpiricalJoint, task: DecisionTask) -> float:
+    """Fixed decision loss as the sum over level sets of mass times the
+    task's Bregman divergence between the recalibrated value and the
+    prediction: the Bregman route to :func:`~calmeasures.decision.cfdl`."""
+    div = task_bregman(task, joint.mean, joint.vals)
+    return left_sum(joint.mass * div)
 
 
 def v_divergence(vstar: float, v1: float, v2: float) -> float:

@@ -16,7 +16,6 @@ from calmeasures import (
     best_response,
     cdl,
     cfdl,
-    cfdl_bregman,
     dce_oracle,
     dce_upper_oracle,
     ece,
@@ -44,7 +43,7 @@ from conftest import (
     random_joint,
     random_task,
 )
-from oracles import expected_payoff, smce_lp_oracle
+from oracles import cfdl_bregman, expected_payoff, smce_lp_oracle
 
 
 @pytest.fixture(scope="module")

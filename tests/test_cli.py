@@ -93,6 +93,25 @@ class TestReport:
         assert code == 0
         assert json.loads(out)["measures"][f"cfdl:{task}"] >= 0.0
 
+    @pytest.mark.parametrize("task_text", [
+        '{"actions": "lh", "payoff": [[1, 0], [0, 1]]}',
+        '{"actions": ["l", "h"], "payoff": [[1, 0, 7], [0, 1]]}',
+        '{"actions": ["l", "h"], "payoff": [[1], [0, 1]]}',
+        '{"actions": ["l", "h"], "payoff": [[1, 0], ["0", 1]]}',
+        '{"actions": ["l", "h"], "payoff": {"l": [1, 0], "h": [0, 1]}}',
+    ], ids=["actions-string", "three-payoffs", "one-payoff", "string-payoff",
+            "payoff-object"])
+    def test_a_task_file_of_the_wrong_shape_exits_2(self, data_csv, tmp_path,
+                                                     task_text, capsys):
+        """actions is a list, and each payoff row a list of two numbers: a
+        string of actions or a third payoff is refused, not read past."""
+        task = tmp_path / "task.json"
+        task.write_text(task_text)
+        assert main(["report", data_csv, "--measures", f"cfdl:{task}"]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: measure 'cfdl:{task}': malformed task "
+                              f"file {task}")
+
     @pytest.mark.parametrize("spec", ["cfdl", "binned", "ece_q", "lowdeg"])
     def test_an_id_without_its_argument_says_so(self, data_csv, spec,
                                                 capsys):
@@ -263,6 +282,23 @@ class TestOnline:
         assert len(err) == 1
         assert f"forecaster {spec!r}" in err[0]
         assert "running_mean:<a>,<b>" in err[0]
+
+    @pytest.mark.parametrize("prior", ["1e308,1e308", "nan,1", "inf,1"])
+    def test_a_non_finite_prior_is_refused_before_the_episode(
+            self, prior, capsys, monkeypatch):
+        """1e308 + 1e308 overflows, so the prior mean would read 0, not 1/2;
+        nan and inf would emit nan."""
+        def no_episode(*args):
+            raise AssertionError("the episode was played")
+
+        monkeypatch.setattr(cli, "run", no_episode)
+        spec = f"running_mean:{prior}"
+        argv = ["online", "--forecaster", spec, "--adversary", "ones",
+                "-T", "3"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: forecaster {spec!r}: ")
 
     @pytest.mark.parametrize("forecaster,adversary,missing", [
         ("constant", "ones", "forecaster 'constant'"),

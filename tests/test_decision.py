@@ -6,22 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calmeasures import (
-    ConvexPotential,
     DecisionTask,
     best_response,
     cdl,
     cfdl,
-    cfdl_bregman,
     ece,
     ece_q,
     from_samples,
     quadratic_task,
     recalibrate,
-    task_potential,
     threshold_task,
 )
 from conftest import joints, random_calibrated_joint, random_joint, random_task
-from oracles import bregman, expected_payoff, v_divergence
+from oracles import cfdl_bregman, expected_payoff, task_bregman, v_divergence
 
 
 class TestDecisionTask:
@@ -120,29 +117,6 @@ class TestCfdl:
 
 
 class TestPotentials:
-    def test_value_and_subgradient(self):
-        phi = ConvexPotential((0.0, 0.5, 1.0), (-1.0, 1.0), value0=0.5)
-        assert phi.value(0.0) == 0.5
-        assert phi.value(0.5) == pytest.approx(0.0)
-        assert phi.value(1.0) == pytest.approx(0.5)
-        assert phi.subgradient(0.25) == -1.0
-        assert phi.subgradient(0.75) == 1.0
-
-    def test_convexity_enforced(self):
-        with pytest.raises(ValueError):
-            ConvexPotential((0.0, 0.5, 1.0), (1.0, -1.0))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    def test_task_potential_is_payoff_envelope(self, seed):
-        rng = np.random.default_rng(seed)
-        task = random_task(rng)
-        u = task.payoff_matrix()
-        phi = task_potential(task)
-        for v in np.linspace(0.0, 1.0, 21):
-            want = max(v * r[1] + (1.0 - v) * r[0] for r in u)
-            assert phi.value(float(v)) == pytest.approx(want, abs=1e-12)
-
     @settings(max_examples=50, deadline=None)
     @given(
         st.integers(min_value=0, max_value=2**31 - 1),
@@ -151,8 +125,7 @@ class TestPotentials:
     )
     def test_bregman_nonnegative(self, seed, a, b):
         task = random_task(np.random.default_rng(seed))
-        phi = task_potential(task)
-        assert bregman(phi, a, b) >= -1e-12
+        assert task_bregman(task, np.array([a]), np.array([b]))[0] >= -1e-12
 
 
 class TestVDivergence:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,11 @@ from calmeasures import (
     smce,
 )
 from conftest import instances, joints, random_instance, random_joint
-from oracles import canonical_predictor, restricted_growth_strings
+from oracles import (
+    canonical_predictor,
+    interval_ce_brute,
+    restricted_growth_strings,
+)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 
@@ -105,6 +110,37 @@ class TestIntceOpt:
         j = from_samples([(0.5001, 1), (0.5002, 0)])
         with pytest.warns(UserWarning):
             intce_opt(j, 100)
+
+
+    def test_an_upper_bound_within_2_over_g_when_the_warning_is_silent(self):
+        """intce:<g> is at least the least interval CE over every grouping
+        of consecutive levels, and at most 2/g above it when each grid
+        cell holds one prediction, so the coarse-grid warning is silent."""
+        rng = np.random.default_rng(22)
+        silent = 0
+        for _ in range(150):
+            j = random_joint(rng)
+            brute = interval_ce_brute(j)
+            for g in (2, 7, 20, 1000):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    value = intce_opt(j, g)
+                assert value >= brute - 1e-12
+                if not caught:
+                    silent += 1
+                    assert value <= brute + 2.0 / g + 1e-12
+        assert silent >= 150
+
+    def test_two_predictions_in_a_cell_can_exceed_2_over_g(self):
+        """0.62 and 0.64 share a cell of the grid g = 10, so they share a
+        group: intce:10 is 0.485, while the groups {0.48, 0.62} and
+        {0.64, 0.76} give 0.125 + 0.14 = 0.265."""
+        j = from_samples([(0.48, 1), (0.62, 0), (0.64, 1), (0.76, 0)])
+        with pytest.warns(UserWarning, match="too coarse"):
+            value = intce_opt(j, 10)
+        assert value == pytest.approx(0.485, abs=1e-12)
+        assert interval_ce_brute(j) == pytest.approx(0.265, abs=1e-12)
+        assert value > interval_ce_brute(j) + 2.0 / 10
 
 
 class TestRandomGridIntce:

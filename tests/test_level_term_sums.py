@@ -21,18 +21,13 @@ import numpy as np
 import pytest
 
 from calmeasures import (
-    best_response,
-    cfdl_bregman,
     from_samples,
     gaussian_kernel,
     kernel_ce,
     laplace_kernel,
     low_degree_ce,
-    quadratic_task,
-    task_potential,
 )
 from calmeasures.empirical import left_sum
-from conftest import random_task
 from oracles import WeightFunction, weighted_ce
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -80,23 +75,6 @@ def test_kernel_ce_is_a_left_fold(kernel):
         inner = [fold(map(operator.mul, row, rs)) for row in gram]
         want = math.sqrt(max(fold(map(operator.mul, rs, inner)), 0.0))
         assert kernel_ce(joint, kernel).hex() == want.hex()
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_cfdl_bregman_is_a_left_fold(seed):
-    rng = np.random.default_rng(seed)
-    for task in (random_task(rng, max_actions=30), quadratic_task(40)):
-        phi, u = task_potential(task), task.payoff_matrix()
-        for joint in seeded_joints(seed, sizes=(1, 3, 25, 200)):
-            terms = []
-            for v, mean, mass in zip(joint.vals.tolist(),
-                                     joint.mean.tolist(),
-                                     joint.mass.tolist()):
-                a = best_response(task, v)
-                g = float(u[a, 1] - u[a, 0])
-                terms.append(
-                    mass * (phi.value(mean) - phi.value(v) - g * (mean - v)))
-            assert cfdl_bregman(joint, task).hex() == fold(terms).hex()
 
 
 def test_weighted_ce_is_a_left_fold():

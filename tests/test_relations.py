@@ -64,10 +64,9 @@ def check(name):
     oracle = {"dce", "dce_upper"} & {left, right}
     specs = [*SPECS.get(left, (left,)), *SPECS.get(right, (right,))]
     measures = {spec: resolve(spec) for spec in specs}
-    args = {spec: f.arg for spec, f in measures.items()}
     for joint, instance in (seeded_instances() if oracle else seeded_joints()):
         values = {spec: f(joint, instance) for spec, f in measures.items()}
-        assert relation_checks(values, args)[name], values
+        assert relation_checks(values)[name], values
 
 
 def test_ece_sq_le_ece2_sq():
@@ -131,12 +130,13 @@ def test_dce_upper_le_4_sqrt_dce():
 
 
 def test_dce_upper_le_intce():
-    """dce_upper <= intce:<g> + 2/g.  Take the partition of intce's grid
-    that attains it, and let k(v) be the mean label of v's interval B: it
-    is a calibrated post-processing.  With vbar_B the mean prediction on B,
+    """dce_upper <= intce:<g>, at every grid g.  Take the partition of
+    intce's grid that attains it, and let k(v) be the mean label of v's
+    interval B: it is a calibrated post-processing.  With vbar_B the mean
+    prediction on B,
     E|k(v) - v| <= sum_B sum_(v in B) m_v (|v - vbar_B| + |vbar_B - ybar_B|)
     <= max width + sum_B |sum_(v in B) c_v|, which is intce's objective.
-    So dce_upper <= intce; 2/g is leeway on top."""
+    So dce_upper <= intce."""
     check("dce_upper_le_intce")
 
 
@@ -216,8 +216,9 @@ def spec_of(name):
 @pytest.mark.parametrize("name", RELATIONS)
 def test_report_names_a_broken_relation(name, instance_json, capsys,
                                         monkeypatch):
-    """Every measure is at most 1 + 2/g, so a left side of 10 breaks each
-    entry; report must check it and name it."""
+    """Every entry's right side is at most 4 (4 sqrt(dce), dce <= 1) and
+    its left side at least 5 when the left measure reads 10, so a left
+    value of 10 breaks each entry; report must check it and name it."""
     left, right, _ = RELATIONS[name]
     monkeypatch.setitem(MEASURES, left,
                         MEASURES[left]._replace(compute=lambda j, i, a: 10.0))
@@ -249,9 +250,9 @@ def test_oracle_checks_the_relations_of_its_values(instance_json, capsys):
 
 def test_an_id_of_several_specs_holds_only_at_every_pair():
     values = {"lowdeg:2": 0.1, "lowdeg:3": 0.2, "ece": 0.3}
-    assert relation_checks(values, {}) == {"lowdeg_le_ece": True}
+    assert relation_checks(values) == {"lowdeg_le_ece": True}
     values["lowdeg:3"] = 0.4
-    assert relation_checks(values, {}) == {"lowdeg_le_ece": False}
+    assert relation_checks(values) == {"lowdeg_le_ece": False}
 
 
 def test_report_checks_each_spec_of_an_id(tmp_path, capsys, monkeypatch):
@@ -269,34 +270,29 @@ def test_report_checks_each_spec_of_an_id(tmp_path, capsys, monkeypatch):
         "error: relation violated: lowdeg_le_ece\n")
 
 
-def test_intce_500_has_the_leeway_2_over_500():
+def test_intce_500_two_tol_below_dce_upper_breaks_the_entry():
+    """dce_upper_le_intce reads no grid: it holds with intce:500 within TOL
+    below dce_upper and breaks at 2 TOL below."""
     _, _, slack = RELATIONS["dce_upper_le_intce"]
-    grid = resolve("intce:500").arg
-    assert grid == 500
-    assert slack(0.5, 0.25, grid) == 0.25 + 2.0 / 500 - 0.5
-    # within 2/500 of dce_upper holds; 2/50 would allow more
-    values = {"dce_upper": 0.5, "intce:500": 0.4965}
-    assert relation_checks(values, {"intce:500": 500}) == {
-        "dce_upper_le_intce": True}
-    values["intce:500"] = 0.4955
-    assert relation_checks(values, {"intce:500": 500}) == {
-        "dce_upper_le_intce": False}
-    assert relation_checks(values, {"intce:500": 50}) == {
-        "dce_upper_le_intce": True}
+    assert slack(0.5, 0.25) == 0.25 + TOL - 0.5
+    values = {"dce_upper": 0.5, "intce:500": 0.5 - 0.5 * TOL}
+    assert relation_checks(values) == {"dce_upper_le_intce": True}
+    values["intce:500"] = 0.5 - 2 * TOL
+    assert relation_checks(values) == {"dce_upper_le_intce": False}
 
 
 def test_a_relation_holds_within_the_tolerance():
     assert TOL == 1e-9
     values = {"smce": 0.3 + 0.5 * TOL, "ece": 0.3}
-    assert relation_checks(values, {}) == {"smce_le_ece": True}
+    assert relation_checks(values) == {"smce_le_ece": True}
     values["smce"] = 0.3 + 2 * TOL
-    assert relation_checks(values, {}) == {"smce_le_ece": False}
+    assert relation_checks(values) == {"smce_le_ece": False}
 
 
 def test_a_spec_argument_is_read_once_for_the_relations(tmp_path, capsys,
                                                         monkeypatch):
-    """report takes each spec's argument from its resolution, so a task
-    file is read once, with --verify-relations too."""
+    """report resolves each spec once, so a task file is read once, with
+    --verify-relations too."""
     task = tmp_path / "task.json"
     task.write_text('{"actions": ["l", "h"], "payoff": [[1, 0], [0, 1]]}')
     reads = []
