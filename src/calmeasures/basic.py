@@ -69,10 +69,15 @@ def bucket_midpoint(v, b: int):
     """Midpoint of v's bucket (or of each of an array of v's) in the b-way
     equal partition of [0, 1].
 
-    Buckets are [(j-1)/b, j/b), the last one closed.
+    Bucket j is [j/b, (j+1)/b), the last one closed, with v compared to
+    the edges j/b as doubles, as in ``IntervalPartition.uniform(b)``: v*b
+    can round across an edge (0.29*100 is 28.999999999999996), so its
+    floor is moved down where j/b > v and up where (j+1)/b <= v.
     """
-    j = np.minimum(np.floor(np.multiply(v, b)), b - 1)
-    return (j + 0.5) / b
+    j = np.floor(np.multiply(v, b))
+    j -= j / b > v
+    j += (j + 1) / b <= v
+    return (np.minimum(j, b - 1) + 0.5) / b
 
 
 def binned_ece(joint: EmpiricalJoint, b: int) -> float:

@@ -44,20 +44,24 @@ class DecisionTask:
 
     @staticmethod
     def from_json(path: str | Path) -> "DecisionTask":
-        """The task of a JSON object with a list ``actions`` and a list
-        ``payoff`` of rows [u(a,0), u(a,1)], each a list of two numbers."""
+        """The task of a JSON object with a list ``actions`` of distinct
+        string names and a list ``payoff`` of rows [u(a,0), u(a,1)], each a
+        list of two numbers."""
         with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
         try:
             actions, rows = data["actions"], data["payoff"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed task file {path}: {exc!r}") from exc
-        if not (isinstance(actions, list) and isinstance(rows, list) and all(
+        if not (isinstance(actions, list) and isinstance(rows, list)
+                and all(isinstance(a, str) for a in actions)
+                and len(set(actions)) == len(actions) and all(
                 isinstance(r, list) and len(r) == 2
                 and all(type(u) in (int, float) for u in r) for r in rows)):
             raise ValueError(f"malformed task file {path}: actions must be a "
-                             "list and each payoff row two numbers")
-        return DecisionTask(tuple(str(a) for a in actions),
+                             "list of distinct strings and each payoff row "
+                             "two numbers")
+        return DecisionTask(tuple(actions),
                             tuple((float(u0), float(u1)) for u0, u1 in rows))
 
 

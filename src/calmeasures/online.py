@@ -5,11 +5,11 @@ adversary (sees the history, emits y_t).  Sequence-level calibration error
 is T times the chosen distributional measure on the uniform empirical joint
 of the transcript.
 
-Information model: adversaries see only the history.  The threshold
-adversary additionally receives the forecaster's deterministic map and
-replays it to anticipate p_t; this is the standard linear-regret
-construction against deterministic algorithms, without granting the
-adversary access to realized randomness.
+Information model: adversaries see the history and, against a
+deterministic forecaster, its p_t, which is a function of that history;
+this is all the threshold adversary needs for the standard linear-regret
+construction against deterministic algorithms.  A randomized forecaster's
+realized p_t is never shown.
 """
 
 from __future__ import annotations
@@ -58,9 +58,10 @@ class Forecaster:
 
 
 class Adversary:
-    needs_forecaster = False
-
-    def outcome(self, ps: list[float], ys: list[int], rng) -> int:
+    def outcome(self, ps: list[float], ys: list[int], p: float | None,
+                rng) -> int:
+        """y_t, given the history and the round's prediction p, which is
+        None unless the forecaster is deterministic."""
         raise NotImplementedError
 
 
@@ -105,11 +106,11 @@ class GridRandomForecaster(Forecaster):
 
     deterministic = False
 
-    def __init__(self, m: int, a: float = 1.0, b: float = 1.0):
+    def __init__(self, m: int):
         if m < 1:
             raise ValueError("grid resolution must be >= 1")
         self.m = m
-        self.base = RunningMeanForecaster(a, b)
+        self.base = RunningMeanForecaster()
 
     def predict(self, ps, ys, rng):
         p = self.base.predict(ps, ys, rng)
@@ -127,7 +128,7 @@ class BernoulliAdversary(Adversary):
             raise ValueError(f"outcome probability {q} outside [0, 1]")
         self.q = q
 
-    def outcome(self, ps, ys, rng):
+    def outcome(self, ps, ys, p, rng):
         return int(rng.random() < self.q)
 
 
@@ -137,31 +138,19 @@ class ConstantAdversary(Adversary):
             raise ValueError("constant outcome must be 0 or 1")
         self.y = y
 
-    def outcome(self, ps, ys, rng):
+    def outcome(self, ps, ys, p, rng):
         return self.y
 
 
 class ThresholdAdversary(Adversary):
-    """Replays a deterministic forecaster to anticipate p_t, then plays
-    y_t = 1 iff p_t < 1/2."""
+    """Plays y_t = 1 iff a deterministic forecaster's p_t < 1/2."""
 
-    needs_forecaster = True
-
-    def __init__(self):
-        self.forecaster: Forecaster | None = None
-
-    def bind(self, forecaster: Forecaster) -> None:
-        if not forecaster.deterministic:
+    def outcome(self, ps, ys, p, rng):
+        if p is None:
             raise ValueError(
                 "threshold adversary requires a deterministic forecaster"
             )
-        self.forecaster = forecaster
-
-    def outcome(self, ps, ys, rng):
-        if self.forecaster is None:
-            raise ValueError("threshold adversary not bound to a forecaster")
-        p_next = self.forecaster.predict(ps, ys, None)
-        return int(p_next < 0.5)
+        return int(p < 0.5)
 
 
 class Strategy(NamedTuple):
@@ -209,8 +198,6 @@ def run(
     per strategy)."""
     if T < 1:
         raise ValueError("need at least one round")
-    if adversary.needs_forecaster:
-        adversary.bind(forecaster)
     f_rng, a_rng = np.random.default_rng(seed).spawn(2)
     ps: list[float] = []
     ys: list[int] = []
@@ -218,7 +205,8 @@ def run(
         p = float(forecaster.predict(ps, ys, f_rng))
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"forecaster emitted {p} outside [0, 1]")
-        y = int(adversary.outcome(ps, ys, a_rng))
+        shown = p if forecaster.deterministic else None
+        y = int(adversary.outcome(ps, ys, shown, a_rng))
         if y not in (0, 1):
             raise ValueError(f"adversary emitted {y} outside {{0, 1}}")
         ps.append(p)

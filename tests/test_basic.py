@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from calmeasures import (
+    IntervalPartition,
     binned_ece,
     bucket_midpoint,
     ece,
@@ -82,6 +83,24 @@ class TestBinnedEce:
         assert bucket_midpoint(0.0, 10) == 0.05
         assert bucket_midpoint(0.1, 10) == pytest.approx(0.15)  # left closed
         assert bucket_midpoint(1.0, 10) == 0.95  # last bucket closed
+
+    def test_buckets_are_split_at_the_edges_as_doubles(self):
+        # 0.29 * 100 is 28.999999999999996, yet 0.29 is the edge 29/100
+        assert bucket_midpoint(0.29, 100) == 0.295
+        j = from_samples([(0.29, 1), (0.3, 0)])
+        assert binned_ece(j, 100) == pytest.approx(0.505, abs=1e-12)
+
+    def test_buckets_agree_with_the_uniform_partition(self):
+        """Every 3-decimal value, every edge and both its float neighbours
+        fall in the bucket that IntervalPartition.uniform(b) gives them."""
+        for b in range(1, 400):
+            edges = np.arange(b + 1) / b
+            vs = np.concatenate([np.arange(1001) / 1000, edges,
+                                 np.nextafter(edges, 0),
+                                 np.nextafter(edges, 1)])
+            vs = vs[(vs >= 0.0) & (vs <= 1.0)]
+            want = (IntervalPartition.uniform(b).indices(vs) + 0.5) / b
+            assert np.array_equal(bucket_midpoint(vs, b), want), b
 
     def test_single_bucket_mean_gap(self):
         j = from_samples([(0.2, 1), (0.6, 0)])

@@ -99,12 +99,15 @@ class TestReport:
         '{"actions": ["l", "h"], "payoff": [[1], [0, 1]]}',
         '{"actions": ["l", "h"], "payoff": [[1, 0], ["0", 1]]}',
         '{"actions": ["l", "h"], "payoff": {"l": [1, 0], "h": [0, 1]}}',
+        '{"actions": [null, {"a": 1}], "payoff": [[1, 0], [0, 1]]}',
+        '{"actions": ["l", "l"], "payoff": [[1, 0], [0, 1]]}',
     ], ids=["actions-string", "three-payoffs", "one-payoff", "string-payoff",
-            "payoff-object"])
+            "payoff-object", "non-string-names", "repeated-names"])
     def test_a_task_file_of_the_wrong_shape_exits_2(self, data_csv, tmp_path,
                                                      task_text, capsys):
-        """actions is a list, and each payoff row a list of two numbers: a
-        string of actions or a third payoff is refused, not read past."""
+        """actions is a list of distinct strings, and each payoff row a
+        list of two numbers: a string of actions, a null or repeated name or
+        a third payoff is refused, not read past."""
         task = tmp_path / "task.json"
         task.write_text(task_text)
         assert main(["report", data_csv, "--measures", f"cfdl:{task}"]) == 2
@@ -357,7 +360,7 @@ class TestOnline:
                 return 1.5
 
         class Two(Adversary):
-            def outcome(self, ps, ys, rng):
+            def outcome(self, ps, ys, p, rng):
                 return 2
 
         with pytest.raises(ValueError, match="forecaster emitted 1.5 outside"):

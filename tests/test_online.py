@@ -53,11 +53,10 @@ class TestStrategies:
             assert abs(p * 10 - round(p * 10)) < 1e-12
 
     def test_threshold_requires_deterministic(self):
-        adv = ThresholdAdversary()
         with pytest.raises(ValueError):
-            adv.bind(GridRandomForecaster(10))
+            run(GridRandomForecaster(10), ThresholdAdversary(), 5)
         with pytest.raises(ValueError):
-            ThresholdAdversary().outcome([], [], None)
+            ThresholdAdversary().outcome([], [], None, None)
 
     def test_baseline_registry(self):
         assert set(FORECASTERS) == {
@@ -84,6 +83,23 @@ class TestRun:
     def test_constant_adversary(self):
         t = run(ConstantForecaster(0.3), ConstantAdversary(1), 10, seed=0)
         assert all(y == 1 for _, y in t.rounds)
+
+    @pytest.mark.parametrize("adversary", [
+        ThresholdAdversary(), BernoulliAdversary(0.7)])
+    def test_the_forecaster_is_called_once_per_round(self, adversary,
+                                                     monkeypatch):
+        """run asks the forecaster for p_t once per round, whatever the
+        adversary: the threshold adversary is shown that p_t."""
+        calls = []
+        predict = RunningMeanForecaster.predict
+
+        def counted(self, ps, ys, rng):
+            calls.append(len(ys))
+            return predict(self, ps, ys, rng)
+
+        monkeypatch.setattr(RunningMeanForecaster, "predict", counted)
+        run(RunningMeanForecaster(), adversary, 50, seed=3)
+        assert calls == list(range(50))
 
     def test_needs_at_least_one_round(self):
         with pytest.raises(ValueError):
