@@ -51,7 +51,7 @@ from .empirical import (
     read_jsonl,
     write_instance_json,
 )
-from .fixtures import FIXTURES, Fixture, verify
+from .fixtures import FIXTURES, verify
 from .lipschitz import smce
 from .measures import MEASURES, TOL, MeasureError, lookup, relation_checks
 from .measures import resolve
@@ -143,13 +143,16 @@ def write(text: str, out: str | None) -> None:
 
 def parse_round(t: int, pair) -> tuple[float, int]:
     """Round t's [p, y] of a transcript JSON: two JSON numbers (see
-    ``json_number``), y 0 or 1 as in JSONL; an error names the round."""
+    ``json_number``), p in [0, 1] and y 0 or 1 as in JSONL; an error names
+    the round."""
     try:
         p, y = pair
-        p, label = json_number("p", p), json_number("y", y)
+        pred, label = json_number("p", p), json_number("y", y)
+        if not 0.0 <= pred <= 1.0:
+            raise ValueError(f"'p' must be in [0, 1], not {json.dumps(p)}")
         if label not in (0.0, 1.0):
             raise ValueError(f"'y' must be 0 or 1, not {json.dumps(y)}")
-        return p, int(label)
+        return pred, int(label)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"round {t}: {exc}") from None
 
@@ -289,16 +292,9 @@ def cmd_online(args) -> None:
     emit(obj, args.output)
 
 
-def build_fixture(name: str, eps: float, n: int | None) -> list[Fixture]:
-    """The fixtures that ``name`` makes, with ``n`` points if ``n`` is given:
-    a fixture that takes no size refuses one."""
-    make = FIXTURES[name]
-    made = make(eps) if n is None else make(eps, n=n)
-    return list(made) if isinstance(made, tuple) else [made]
-
-
 def cmd_fixture(args) -> None:
-    fixtures = build_fixture(args.name, args.eps, args.n)
+    made = FIXTURES[args.name](args.eps)
+    fixtures = list(made) if isinstance(made, tuple) else [made]
     if args.emit:
         base = Path(args.emit)
         if len(fixtures) == 1:
@@ -399,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixture", help="emit a worked-example instance")
     p.add_argument("--name", required=True, choices=sorted(FIXTURES))
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--emit", default=None, help="write instance JSON here; "
                    "a fixture of several instances writes each to "
                    "<stem>_<fixture name><suffix> instead")

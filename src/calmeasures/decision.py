@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .empirical import EmpiricalJoint, left_sum
+from .empirical import EmpiricalJoint, json_number, left_sum
 
 
 @dataclass(frozen=True)
@@ -51,18 +51,19 @@ class DecisionTask:
             data = json.load(fh)
         try:
             actions, rows = data["actions"], data["payoff"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed task file {path}: {exc!r}") from exc
-        if not (isinstance(actions, list) and isinstance(rows, list)
-                and all(isinstance(a, str) for a in actions)
-                and len(set(actions)) == len(actions) and all(
-                isinstance(r, list) and len(r) == 2
-                and all(type(u) in (int, float) for u in r) for r in rows)):
-            raise ValueError(f"malformed task file {path}: actions must be a "
-                             "list of distinct strings and each payoff row "
-                             "two numbers")
-        return DecisionTask(tuple(actions),
-                            tuple((float(u0), float(u1)) for u0, u1 in rows))
+            if not (isinstance(actions, list) and isinstance(rows, list)
+                    and all(isinstance(a, str) for a in actions)
+                    and len(set(actions)) == len(actions)
+                    and all(isinstance(r, list) and len(r) == 2
+                            for r in rows)):
+                raise ValueError("actions must be a list of distinct strings "
+                                 "and each payoff row two numbers")
+            payoff = tuple((json_number("payoff", u0),
+                            json_number("payoff", u1)) for u0, u1 in rows)
+        except (KeyError, TypeError, ValueError) as exc:
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"malformed task file {path}: {what}") from None
+        return DecisionTask(tuple(actions), payoff)
 
 
 def threshold_task(vstar: float) -> DecisionTask:

@@ -507,14 +507,25 @@ def _json_objects(lines: list[str]) -> list[dict]:
 
 
 def read_instance_json(path: str | Path) -> FiniteInstance:
-    """Array of {"id": str, "mass": float, "pred": float, "cond_mean": float}."""
+    """Array of {"id": str, "mass": float, "pred": float, "cond_mean": float},
+    each value but the id a JSON number (see ``json_number``); an error in a
+    point names its position in the array, 1 for the first, as a JSONL
+    error names the line."""
     with open(path, encoding="utf-8-sig") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON array of points")
-    return FiniteInstance.make(
-        (obj["id"], obj["mass"], obj["pred"], obj["cond_mean"]) for obj in data
-    )
+    points = []
+    for i, obj in enumerate(data, 1):
+        try:
+            if not isinstance(obj, dict):
+                raise TypeError("not a JSON object")
+            points.append((obj["id"], *(json_number(key, obj[key]) for key
+                                        in ("mass", "pred", "cond_mean"))))
+        except (KeyError, TypeError) as exc:
+            what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"{path}, point {i}: {what}") from None
+    return FiniteInstance.make(points)
 
 
 def write_instance_json(instance: FiniteInstance, path: str | Path) -> None:

@@ -127,19 +127,18 @@ def cdl_example_1(eps: float) -> Fixture:
     )
 
 
-def cdl_example_2(eps: float, n: int = 1000) -> Fixture:
+def cdl_example_2(eps: float) -> Fixture:
     """Identity predictor on [eps, 1] with labels Bernoulli(x - eps),
-    discretized to n mass points at subinterval midpoints; the example
+    discretized to 1000 mass points at subinterval midpoints; the example
     where the decision loss is quadratically below the calibration error.
 
     The midpoint discretization moves each support point by at most
-    (1 - eps) / n, so the decision-loss scan drifts by at most that much
+    (1 - eps) / 1000, so the decision-loss scan drifts by at most that much
     per breakpoint against the continuum bound.
     """
     if not 0.0 < eps < 0.1:
         raise ValueError(f"eps {eps} outside (0, 1/10)")
-    if n < 100:
-        raise ValueError(f"n {n} must be >= 100")
+    n = 1000
     points = []
     for i in range(n):
         x = eps + (1.0 - eps) * (i + 0.5) / n

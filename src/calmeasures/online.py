@@ -76,19 +76,15 @@ class ConstantForecaster(Forecaster):
 
 
 class RunningMeanForecaster(Forecaster):
-    """Laplace-smoothed running label mean: (a + sum y) / (a + b + t - 1).
+    """Laplace-smoothed running label mean: (1 + sum y) / (t + 1) in round
+    t, the deterministic baseline that the threshold adversary beats.
 
     The sum is kept across calls for the last ``ys`` list seen and extended
     by the labels appended since, as ``run`` appends them; another list, or
     a shorter one, is summed again.  Adding left to right either way, it
     equals ``sum(ys)``."""
 
-    def __init__(self, a: float = 1.0, b: float = 1.0):
-        if not (a >= 0.0 and b >= 0.0 and 0.0 < a + b < float("inf")):
-            raise ValueError("prior pseudocounts must be nonnegative, with "
-                             "a finite a+b > 0")
-        self.a = a
-        self.b = b
+    def __init__(self):
         self._ys: list[int] = []
         self._n = 0
         self._sum = 0
@@ -98,7 +94,7 @@ class RunningMeanForecaster(Forecaster):
             self._ys, self._n, self._sum = ys, 0, 0
         self._sum = sum(ys[self._n:], self._sum)
         self._n = len(ys)
-        return (self.a + self._sum) / (self.a + self.b + len(ys))
+        return (1.0 + self._sum) / (2.0 + len(ys))
 
 
 class GridRandomForecaster(Forecaster):
@@ -162,18 +158,10 @@ class Strategy(NamedTuple):
     make: Callable[[object], Forecaster | Adversary]
 
 
-def _prior(raw: str) -> list[float]:
-    """running_mean's optional prior pseudocounts: none, or both."""
-    parts = raw.split(",") if raw else []
-    if len(parts) not in (0, 2):
-        raise ValueError("expected running_mean or running_mean:<a>,<b>")
-    return [float(x) for x in parts]
-
-
 # The strategy names, each resolved by measures.lookup as a measure id is.
 FORECASTERS: dict[str, Strategy] = {
     "constant": Strategy(required(float), ConstantForecaster),
-    "running_mean": Strategy(_prior, lambda a: RunningMeanForecaster(*a)),
+    "running_mean": Strategy(None, lambda a: RunningMeanForecaster()),
     "grid_random": Strategy(required(int), GridRandomForecaster),
 }
 ADVERSARIES: dict[str, Strategy] = {

@@ -64,7 +64,7 @@ def test_criterion_01_fixture_golden_values():
     assert dce_oracle(fine.instance) == pytest.approx(0.025, abs=1e-12)
     assert project(fine.instance).atoms == project(coarse.instance).atoms
 
-    fix = cdl_example_2(0.05, 1000)
+    fix = cdl_example_2(0.05)
     assert evaluate(fix, "ece") == pytest.approx(0.05, abs=1e-12)
     c = evaluate(fix, "cdl")
     assert 0.0025 <= c <= 0.05**2 / 0.95 + 5e-4

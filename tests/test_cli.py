@@ -14,8 +14,10 @@ from calmeasures import (
     read_csv,
     run,
     smce,
+    verify,
 )
 from calmeasures.cli import main
+from calmeasures.fixtures import cdl_example_2
 
 CSV = "prediction,label\n0.3,1\n0.3,0\n0.7,1\n0.2,0\n"
 
@@ -276,21 +278,17 @@ class TestOnline:
         assert err == ([f"error: unknown adversary {spec!r}"] if code else [])
 
     @pytest.mark.parametrize("spec", ["running_mean:2", "running_mean:1,2,3"])
-    def test_running_mean_takes_nothing_or_two_pseudocounts(self, spec,
-                                                             capsys):
+    def test_running_mean_takes_no_argument(self, spec, capsys):
         argv = ["online", "--forecaster", spec, "--adversary", "ones",
                 "-T", "3"]
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert f"forecaster {spec!r}" in err[0]
-        assert "running_mean:<a>,<b>" in err[0]
+        assert err == [f"error: unknown forecaster {spec!r}"]
 
     @pytest.mark.parametrize("prior", ["1e308,1e308", "nan,1", "inf,1"])
     def test_a_non_finite_prior_is_refused_before_the_episode(
             self, prior, capsys, monkeypatch):
-        """1e308 + 1e308 overflows, so the prior mean would read 0, not 1/2;
-        nan and inf would emit nan."""
+        """running_mean takes no prior pseudocounts, finite or not."""
         def no_episode(*args):
             raise AssertionError("the episode was played")
 
@@ -300,8 +298,7 @@ class TestOnline:
                 "-T", "3"]
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith(f"error: forecaster {spec!r}: ")
+        assert err == [f"error: unknown forecaster {spec!r}"]
 
     @pytest.mark.parametrize("forecaster,adversary,missing", [
         ("constant", "ones", "forecaster 'constant'"),
@@ -345,14 +342,6 @@ class TestOnline:
                 "--no-curves"]
         assert main(argv) == 3
         assert "measure 'nope'" in capsys.readouterr().err
-
-    def test_running_mean_with_a_prior(self, capsys):
-        code, out = run_cli(["online", "--forecaster", "running_mean:2,3",
-                             "--adversary", "ones", "-T", "4"], capsys)
-        assert code == 0
-        # (a + sum y) / (a + b + t - 1) with a, b = 2, 3 against all ones
-        assert [p for p, _ in json.loads(out)["rounds"]] == [
-            2 / 5, 3 / 6, 4 / 7, 5 / 8]
 
     def test_run_refuses_an_out_of_range_move(self):
         class TooHigh(Forecaster):
@@ -426,20 +415,32 @@ class TestFixtureCommand:
         assert "invalid choice: 'nope'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["two_point", "quadratic_gap",
-                                      "cdl_example_1"])
+                                      "cdl_example_1", "cdl_example_2"])
     def test_unsized_fixture_refuses_a_size(self, name, capsys):
         argv = ["fixture", "--name", name, "--eps", "0.05", "--n", "5"]
-        assert main(argv) == 2
-        (err,) = capsys.readouterr().err.splitlines()
-        assert err.startswith("error: ") and name in err
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_sized_fixture_defaults_to_1000_points(self, capsys):
         argv = ["fixture", "--name", "cdl_example_2", "--eps", "0.05"]
-        assert run_cli(argv, capsys) == run_cli(argv + ["--n", "1000"], capsys)
+        code, out = run_cli(argv, capsys)
+        assert code == 0
+        fix = cdl_example_2(0.05)
+        assert len(fix.instance.ids) == 1000
+        assert json.loads(out)["fixtures"] == [{
+            "name": "cdl_example_2",
+            "expected": {k: {"value": v, "tolerance": t, "provenance": p}
+                         for k, (v, t, p) in fix.expected.items()},
+            "bounds": {k: {"lower": lo, "upper": hi, "provenance": p}
+                       for k, (lo, hi, p) in fix.bounds.items()},
+            "computed": {k: v for k, (v, _) in verify(fix).items()},
+            "ok": True,
+        }]
 
     def test_sized_fixture_prints_its_bounds(self, capsys):
         code, out = run_cli(["fixture", "--name", "cdl_example_2", "--eps",
-                             "0.05", "--n", "200"], capsys)
+                             "0.05"], capsys)
         assert code == 0
         (fix,) = json.loads(out)["fixtures"]
         assert fix["ok"] is True

@@ -41,7 +41,7 @@ class TestStrategies:
             ConstantForecaster(1.2)
 
     def test_running_mean_values(self):
-        f = RunningMeanForecaster(1.0, 1.0)
+        f = RunningMeanForecaster()
         assert f.predict([], [], None) == 0.5
         assert f.predict([0.5], [1], None) == pytest.approx(2 / 3)
 

@@ -14,7 +14,7 @@ import pytest
 from calmeasures import FiniteInstance, from_samples
 from calmeasures.cli import main
 from calmeasures import empirical
-from calmeasures.empirical import read_csv, read_jsonl
+from calmeasures.empirical import read_csv, read_instance_json, read_jsonl
 
 
 def reference_read_csv(path):
@@ -458,8 +458,9 @@ def test_csv_other_column_named_twice_is_ignored(tmp_path):
     ('[[0.5, 1], [false, 0]]', "round 2: 'p' must be a JSON number, "
                                "not false"),
     ('[[0.5, 1], [0.25, 0.5]]', "round 2: 'y' must be 0 or 1, not 0.5"),
+    ('[[0.5, 1], [1.5, 0]]', "round 2: 'p' must be in [0, 1], not 1.5"),
 ], ids=["true-label", "string-prediction", "string-label", "false-prediction",
-        "half-label"])
+        "half-label", "prediction-above-1"])
 def test_transcript_value_that_is_no_number_exits_2(tmp_path, capsys, rounds,
                                                     error):
     path = tmp_path / "t.json"
@@ -467,6 +468,59 @@ def test_transcript_value_that_is_no_number_exits_2(tmp_path, capsys, rounds,
     err = exits_2_with_one_line(capsys, ["plotdata", "--kind", "transcript",
                                          str(path)])
     assert err.endswith(f"{error}\n")
+
+
+@pytest.mark.parametrize("points,error", [
+    ('[{"id": "a", "mass": true, "pred": "0.5", "cond_mean": 1}, '
+     '{"id": "b", "mass": "2", "pred": 0.25, "cond_mean": false}]',
+     "point 1: 'mass' must be a JSON number, not true"),
+    ('[{"id": "a", "mass": 1, "pred": 0.5, "cond_mean": 1}, '
+     '{"id": "b", "pred": 0.5, "cond_mean": 0}]',
+     "point 2: missing key 'mass'"),
+    ('[{"id": "a", "mass": 1, "pred": 0.5, "cond_mean": 1}, [1, 0.5, 0]]',
+     "point 2: not a JSON object"),
+    ('[{"id": "a", "mass": 1, "pred": 0.5, "cond_mean": null}]',
+     "point 1: 'cond_mean' must be a JSON number, not null"),
+], ids=["true-mass", "missing-mass", "list-point", "null-cond-mean"])
+def test_instance_point_error_names_the_point(tmp_path, capsys, points,
+                                              error):
+    """A point's error gives its position in the array, 1 for the first,
+    as a JSONL error gives the line; float() would read true as 1.0 and
+    "0.5" as 0.5."""
+    path = tmp_path / "inst.json"
+    path.write_text(points)
+    refused_at(read_instance_json, path, error)
+    for command in ("report", "oracle"):
+        err = exits_2_with_one_line(capsys, [command, str(path)])
+        assert err.endswith(f"{path}, {error}\n")
+
+
+# One JSON input of each kind, with %s in a numeric field, and the argv
+# that reads it.
+JSON_INPUTS = {
+    "jsonl-line": ("d.jsonl", '{"p": 0.5, "y": 1}\n{"p": %s, "y": 0}\n',
+                   ["report", "{path}"]),
+    "instance-point": ("inst.json", '[{"id": "a", "mass": 1, "pred": %s, '
+                       '"cond_mean": 1}]', ["report", "{path}"]),
+    "transcript-round": ("t.json", '{"rounds": [[0.5, 1], [%s, 0]]}',
+                         ["plotdata", "--kind", "transcript", "{path}"]),
+    "task-payoff": ("task.json", '{"actions": ["l", "h"], '
+                    '"payoff": [[1, 0], [%s, 1]]}',
+                    ["report", "{csv}", "--measures", "cfdl:{path}"]),
+}
+
+
+@pytest.mark.parametrize("value", ["true", '"0.5"', "null"])
+@pytest.mark.parametrize("kind", JSON_INPUTS)
+def test_every_json_input_takes_only_json_numbers(tmp_path, capsys, kind,
+                                                  value):
+    name, template, argv = JSON_INPUTS[kind]
+    path, csv_path = tmp_path / name, tmp_path / "d.csv"
+    path.write_text(template % value)
+    csv_path.write_text("prediction,label\n0.4,1\n0.5,0\n")
+    err = exits_2_with_one_line(capsys, [
+        arg.format(path=path, csv=csv_path) for arg in argv])
+    assert f"must be a JSON number, not {value}\n" in err
 
 
 # Blocks: a block is _BLOCK characters and the rest of its last line.
