@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .empirical import EmpiricalJoint, left_sum
+from .empirical import EmpiricalJoint, grid_cell, left_sum
 
 
 def ece(joint: EmpiricalJoint) -> float:
@@ -66,18 +66,10 @@ def tv_rows(vals: np.ndarray, m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
 
 
 def bucket_midpoint(v, b: int):
-    """Midpoint of v's bucket (or of each of an array of v's) in the b-way
-    equal partition of [0, 1].
-
-    Bucket j is [j/b, (j+1)/b), the last one closed, with v compared to
-    the edges j/b as doubles, as in ``IntervalPartition.uniform(b)``: v*b
-    can round across an edge (0.29*100 is 28.999999999999996), so its
-    floor is moved down where j/b > v and up where (j+1)/b <= v.
-    """
-    j = np.floor(np.multiply(v, b))
-    j -= j / b > v
-    j += (j + 1) / b <= v
-    return (np.minimum(j, b - 1) + 0.5) / b
+    """Midpoint of v's bucket (or of each of an array of v's), its
+    :func:`~calmeasures.empirical.grid_cell` in the b-way equal partition
+    of [0, 1]."""
+    return (grid_cell(v, b) + 0.5) / b
 
 
 def binned_ece(joint: EmpiricalJoint, b: int) -> float:

@@ -297,14 +297,10 @@ def cmd_fixture(args) -> None:
     fixtures = list(made) if isinstance(made, tuple) else [made]
     if args.emit:
         base = Path(args.emit)
-        if len(fixtures) == 1:
-            write_instance_json(fixtures[0].instance, base)
-        else:
-            for fix in fixtures:
-                write_instance_json(
-                    fix.instance,
-                    base.with_name(f"{base.stem}_{fix.name}{base.suffix}"),
-                )
+        for fix in fixtures:
+            path = base if len(fixtures) == 1 else base.with_name(
+                f"{base.stem}_{fix.name}{base.suffix}")
+            write_instance_json(fix.instance, path)
     obj = {"schema": 1, "fixtures": []}
     for fix in fixtures:
         checks = verify(fix)
@@ -345,9 +341,8 @@ def cmd_plotdata(args) -> None:
         curves = prefix_curves(transcript, guarded)
         lines.append("t,p,y," + ",".join(f"prefix_{m}" for m in measures))
         for t, (p, y) in enumerate(transcript.rounds, start=1):
-            vals = ",".join(f"{curves[m][t - 1]:.17g}" for m in measures)
-            row = f"{t},{p:.17g},{y}"
-            lines.append(row + ("," + vals if vals else ""))
+            lines.append(",".join([f"{t},{p:.17g},{y}", *(
+                f"{curves[m][t - 1]:.17g}" for m in measures)]))
     write("\n".join(lines) + "\n", args.output)
 
 
@@ -363,10 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="calmeasure",
         description="calibration error measures for binary predictors",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # no option is taken for a prefix of its name, in any subcommand
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("report", help="measure values for a dataset")
+    p = add_parser("report", help="measure values for a dataset")
     p.add_argument("input", help="CSV, JSONL, or FiniteInstance JSON")
     p.add_argument("--measures", default="ece,ece2,smce,cdl",
                    help=MEASURES_HELP)
@@ -374,12 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("oracle", help="distance oracles for a finite instance")
+    p = add_parser("oracle", help="distance oracles for a finite instance")
     p.add_argument("input", help="FiniteInstance JSON")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("online", help="run a sequential prediction episode")
+    p = add_parser("online", help="run a sequential prediction episode")
     p.add_argument("--forecaster", required=True)
     p.add_argument("--adversary", required=True)
     p.add_argument("-T", "--rounds", type=int, required=True)
@@ -392,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_online)
 
-    p = sub.add_parser("fixture", help="emit a worked-example instance")
+    p = add_parser("fixture", help="emit a worked-example instance")
     p.add_argument("--name", required=True, choices=sorted(FIXTURES))
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--emit", default=None, help="write instance JSON here; "
@@ -401,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_fixture)
 
-    p = sub.add_parser("plotdata", help="CSV for diagrams and regret curves")
+    p = add_parser("plotdata", help="CSV for diagrams and regret curves")
     p.add_argument("--kind", choices=("reliability", "transcript"),
                    default="reliability")
     p.add_argument("input")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .empirical import EmpiricalJoint, FiniteInstance
+from .empirical import EmpiricalJoint, FiniteInstance, grid_cell
 from .lipschitz import residuals
 
 # the most points an oracle enumerates the set partitions of
@@ -93,7 +93,9 @@ def intce_partition(joint: EmpiricalJoint, part: IntervalPartition) -> float:
 def intce_opt(joint: EmpiricalJoint, g: int = DEFAULT_GRID) -> float:
     """Min over partitions with breakpoints on the uniform g-grid of
     (CE + width), via a DP over groups of grid cells run for each width
-    cap that can still win.
+    cap that can still win.  Prediction v is in cell ``grid_cell(v, g)``
+    of :mod:`~calmeasures.empirical`, the bucket ``binned:<g>`` gives it:
+    [j/g, (j+1)/g), with v compared to the edges j/g as doubles.
 
     A cap's value is its least CE plus the cap, so no cap at or above a
     value already reached can beat it.  The all-singletons partition under
@@ -126,7 +128,7 @@ def intce_opt(joint: EmpiricalJoint, g: int = DEFAULT_GRID) -> float:
     vals, rs = residuals(joint)
     # values in one grid cell always share a group: merge them into one
     # row; the values are sorted, so each cell's values are one run
-    cell = np.minimum((vals * g).astype(np.int64), g - 1)
+    cell = grid_cell(vals, g).astype(np.int64)
     first = np.concatenate([[True], cell[1:] != cell[:-1]])
     cells, row = cell[first], np.cumsum(first) - 1
     m = len(cells)
@@ -176,8 +178,8 @@ def check_grid(g: int) -> int:
     """``g`` if :func:`intce_opt` takes it as its grid, else ValueError."""
     if g < 2:
         raise ValueError("grid resolution must be >= 2")
-    # predictions are at most 1, so v * g <= float(g): intce_opt's cast of
-    # v * g to int64 is safe while float(g) < 2**63
+    # grid_cell caps a cell at g - 1, so intce_opt's cast of the cells to
+    # int64 is safe while float(g) < 2**63
     if float(g) >= 2.0**63:
         raise ValueError(f"grid resolution g={g} too large: cell indices "
                          "v * g must fit int64 (g < 2**63)")

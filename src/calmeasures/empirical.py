@@ -38,6 +38,22 @@ def left_sum(*cols: np.ndarray):
     return total if total.ndim else float(total)
 
 
+def grid_cell(v, g: int):
+    """Index of v's cell (or of each of an array of v's) in the g-way
+    equal partition of [0, 1], as an integer-valued float: the one cell
+    rule of ``binned:<b>``'s buckets and ``intce:<g>``'s grid.
+
+    Cell j is [j/g, (j+1)/g), the last one closed, with v compared to the
+    edges j/g as doubles, as in ``IntervalPartition.uniform(g)``: v*g can
+    round across an edge (0.29*100 is 28.999999999999996), so its floor
+    is moved down where j/g > v and up where (j+1)/g <= v.
+    """
+    j = np.floor(np.multiply(v, g))
+    j -= j / g > v
+    j += (j + 1) / g <= v
+    return np.minimum(j, g - 1)
+
+
 def _check_atoms(rows: np.ndarray) -> None:
     """Raise a ValueError naming the first of the (v, y, m) ``rows`` that is
     not an atom: a prediction outside [0, 1], a label other than 0 or 1, or
@@ -508,20 +524,26 @@ def _json_objects(lines: list[str]) -> list[dict]:
 
 def read_instance_json(path: str | Path) -> FiniteInstance:
     """Array of {"id": str, "mass": float, "pred": float, "cond_mean": float},
-    each value but the id a JSON number (see ``json_number``); an error in a
-    point names its position in the array, 1 for the first, as a JSONL
-    error names the line."""
+    the ids distinct JSON strings and the other values JSON numbers (see
+    ``json_number``); an error in a point names its position in the array,
+    1 for the first, as a JSONL error names the line."""
     with open(path, encoding="utf-8-sig") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a JSON array of points")
-    points = []
+    points, first = [], {}
     for i, obj in enumerate(data, 1):
         try:
             if not isinstance(obj, dict):
                 raise TypeError("not a JSON object")
-            points.append((obj["id"], *(json_number(key, obj[key]) for key
-                                        in ("mass", "pred", "cond_mean"))))
+            if not isinstance(pid := obj["id"], str):
+                raise TypeError(f"'id' must be a JSON string, not "
+                                f"{json.dumps(pid)}")
+            if first.setdefault(pid, i) != i:
+                raise TypeError(f"'id' {json.dumps(pid)} is already point "
+                                f"{first[pid]}'s")
+            points.append((pid, *(json_number(key, obj[key]) for key
+                                  in ("mass", "pred", "cond_mean"))))
         except (KeyError, TypeError) as exc:
             what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"{path}, point {i}: {what}") from None

@@ -226,7 +226,9 @@ def prefix_curves(
     prefixes longest first, in blocks: a block holds the label masses of
     prefixes t = hi, hi - 1, ... as the rows of two arrays m0, m1, on the
     w levels present at its longest prefix hi, with
-    max(1, _BLOCK_CELLS // w) rows.  An f with a row form
+    max(1, _BLOCK_CELLS // w) rows: the counts at hi less the cumulative
+    counts, on those levels, of the rounds each row drops, so
+    ``_group_levels`` is the walk's only grouping.  An f with a row form
     ``f.rows(vals, m0, m1)`` runs once per block; every other f runs, in
     order, on each row's joint, built once from the row with its levels of
     mass 0.0 dropped.  The walk starts at the longest prefix, so a measure
@@ -237,7 +239,6 @@ def prefix_curves(
     """
     distinct, cell, counts = _group_levels(
         *np.array(transcript.rounds, dtype=float).T)
-    k = len(distinct)
     rows = {spec: f.rows for spec, f in measures.items() if hasattr(f, "rows")}
     joints = {spec: f for spec, f in measures.items() if spec not in rows}
     curves = {spec: [] for spec in measures}
@@ -247,20 +248,14 @@ def prefix_curves(
         w = len(present)
         n = min(hi, max(1, _BLOCK_CELLS // w))
         t = np.arange(hi, hi - n, -1)
-        # row r is prefix hi - r: the counts at hi less rounds hi - r to
-        # hi - 1, summed down the rows only in the (label, level) columns
-        # that those rounds hit; a round's cell y k + level is column
-        # y w + (the level's place in present) of the block
-        out = np.arange(hi - 1, hi - n, -1)
-        cols, col = np.unique(np.searchsorted(
-            np.concatenate((present, present + k)), cell[out]),
-            return_inverse=True)
-        gone = np.zeros((n, len(cols)), dtype=counts.dtype)
-        gone[np.arange(1, n), col] = 1
-        block = np.empty((n, 2, w), dtype=counts.dtype)
-        block[:] = counts.take(present, axis=1)
-        block.reshape(n, 2 * w)[:, cols] -= gone.cumsum(axis=0)
-        m0, m1 = (block / t[:, None, None]).transpose(1, 0, 2)
+        # row r is prefix hi - r: the counts at hi less the cumulative
+        # counts of rounds hi - 1 down to hi - r; a round's cell y k + level
+        # (of k levels) is column y w + (the level's place in present)
+        gone = np.zeros((n, 2 * w), dtype=counts.dtype)
+        gone[np.arange(1, n), np.searchsorted(np.concatenate(
+            (present, present + len(distinct))), cell[hi - 1:hi - n:-1])] = 1
+        block = counts.take(present, axis=1).reshape(-1) - gone.cumsum(axis=0)
+        m0, m1 = (block.reshape(n, 2, w) / t[:, None, None]).transpose(1, 0, 2)
         vals = distinct[present]
         for spec, f in rows.items():
             curves[spec].extend((t * f(vals, m0, m1)).tolist())

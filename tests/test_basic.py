@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from calmeasures import (
     ece,
     ece_q,
     from_samples,
+    intce_opt,
     tv_characterization,
 )
+from calmeasures.empirical import grid_cell
 from conftest import joints, random_calibrated_joint
 from oracles import sign_witness_ce, surrogate_masses
 
@@ -89,18 +92,27 @@ class TestBinnedEce:
         assert bucket_midpoint(0.29, 100) == 0.295
         j = from_samples([(0.29, 1), (0.3, 0)])
         assert binned_ece(j, 100) == pytest.approx(0.505, abs=1e-12)
+        # intce's grid cells are these buckets: 0.285 and 0.29 fall in
+        # cells 28 and 29, so no warning, and the least value over the
+        # groupings of the 100-grid is 0.17875
+        j = from_samples([(0.285, 1), (0.29, 0), (0.29, 0), (0.5, 1)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert intce_opt(j, 100) == pytest.approx(0.17875, abs=1e-12)
 
     def test_buckets_agree_with_the_uniform_partition(self):
         """Every 3-decimal value, every edge and both its float neighbours
-        fall in the bucket that IntervalPartition.uniform(b) gives them."""
+        fall in the cell, and so the bucket, that
+        IntervalPartition.uniform(b) gives them."""
         for b in range(1, 400):
             edges = np.arange(b + 1) / b
             vs = np.concatenate([np.arange(1001) / 1000, edges,
                                  np.nextafter(edges, 0),
                                  np.nextafter(edges, 1)])
             vs = vs[(vs >= 0.0) & (vs <= 1.0)]
-            want = (IntervalPartition.uniform(b).indices(vs) + 0.5) / b
-            assert np.array_equal(bucket_midpoint(vs, b), want), b
+            cells = IntervalPartition.uniform(b).indices(vs)
+            assert np.array_equal(grid_cell(vs, b), cells), b
+            assert np.array_equal(bucket_midpoint(vs, b), (cells + 0.5) / b)
 
     def test_single_bucket_mean_gap(self):
         j = from_samples([(0.2, 1), (0.6, 0)])

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from calmeasures import (
+    IntervalPartition,
     ece,
     emd_joints,
     from_samples,
@@ -61,7 +62,7 @@ def concave_pl_chain_dp(vals, cs, lipschitz):
 def per_value_intce(joint, g):
     vals, rs = residuals(joint)
     m = len(vals)
-    cells = np.minimum((vals * g).astype(np.int64), g - 1)
+    cells = IntervalPartition.uniform(g).indices(vals)
     sep = cells[:-1] < cells[1:]
     prefix = np.concatenate([[0.0], np.cumsum(rs)])
     req = (cells[None, :] - cells[:, None] + 1) / g
@@ -80,7 +81,7 @@ def per_value_intce(joint, g):
 def full_cap_intce(joint, g):
     """intce_opt's cell DP run for every width cap over every group start."""
     vals, rs = residuals(joint)
-    cells, row = np.unique(np.minimum((vals * g).astype(np.int64), g - 1),
+    cells, row = np.unique(IntervalPartition.uniform(g).indices(vals),
                            return_inverse=True)
     m = len(cells)
     prefix = np.concatenate([[0.0], np.cumsum(np.bincount(row, rs))])

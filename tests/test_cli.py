@@ -67,6 +67,12 @@ class TestReport:
         assert code == 0
         checks = json.loads(out)["relation_checks"]
         assert all(checks.values())
+        # an option is spelled in full: a prefix of it is no option
+        with pytest.raises(SystemExit) as exc:
+            main(["report", data_csv, "--verify", "--measures", "ece"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: unrecognized arguments: --verify\n")
 
     def test_parameterized_measures(self, data_csv, capsys):
         code, out = run_cli(
@@ -421,6 +427,9 @@ class TestFixtureCommand:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        # --n is no prefix of --name
+        assert capsys.readouterr().err.endswith(
+            "error: unrecognized arguments: --n 5\n")
 
     def test_sized_fixture_defaults_to_1000_points(self, capsys):
         argv = ["fixture", "--name", "cdl_example_2", "--eps", "0.05"]

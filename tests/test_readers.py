@@ -481,7 +481,14 @@ def test_transcript_value_that_is_no_number_exits_2(tmp_path, capsys, rounds,
      "point 2: not a JSON object"),
     ('[{"id": "a", "mass": 1, "pred": 0.5, "cond_mean": null}]',
      "point 1: 'cond_mean' must be a JSON number, not null"),
-], ids=["true-mass", "missing-mass", "list-point", "null-cond-mean"])
+    ('[{"id": "a", "mass": 1, "pred": 0.5, "cond_mean": 1}, '
+     '{"id": null, "mass": 1, "pred": 0.2, "cond_mean": 0}]',
+     "point 2: 'id' must be a JSON string, not null"),
+    ('[{"id": "a", "mass": 1, "pred": 0.5, "cond_mean": 1}, '
+     '{"id": "a", "mass": 1, "pred": 0.2, "cond_mean": 0}]',
+     "point 2: 'id' \"a\" is already point 1's"),
+], ids=["true-mass", "missing-mass", "list-point", "null-cond-mean",
+        "null-id", "repeated-id"])
 def test_instance_point_error_names_the_point(tmp_path, capsys, points,
                                               error):
     """A point's error gives its position in the array, 1 for the first,
