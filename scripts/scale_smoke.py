@@ -3,17 +3,20 @@
 Usage: python scripts/scale_smoke.py
 
 Writes, to a temporary directory, a CSV and two JSONL files of ROWS
-Beta(2, 3) scores rounded to 2 decimals, a CSV and a JSONL file of ROWS
-other such scores with Uniform(0.5, 2) weights, and a CSV of ROWS distinct
-full-precision Beta(2, 3) scores, all with Bernoulli labels, and runs them
-through calmeasures.cli.  One unweighted JSONL file and the weighted one
+Beta(2, 3) scores rounded to 2 decimals, the same scores as a CSV with a
+weight column of 1.0, a CSV and a JSONL file of ROWS other such scores
+with Uniform(0.5, 2) weights, and a CSV of ROWS distinct full-precision
+Beta(2, 3) scores, all with Bernoulli labels, and runs them through
+calmeasures.cli.  One unweighted JSONL file and the weighted one
 are in the layout ``json.dumps`` writes, {"p": 0.42, "y": 1} and {"p":
 0.42, "y": 1, "w": 1.37...}, which the reader decodes as one flat array of
 numbers per block; the other is compact, {"p":0.42,"y":1}, which takes the
 reader's object path.  The 2-decimal files get the default report with
---verify-relations; the unweighted files must report the same values,
-bit for bit, and so must the weighted ones, and the read time of each
-JSONL file is printed.  The distinct-score file gets DISTINCT_MEASURES,
+--verify-relations; the unweighted files and the one of weight 1.0,
+whose repeated lines the readers parse once per block, must report the
+same values, bit for bit, and so must the weighted ones, whose lines are
+parsed one by one.  The in-process read time of each of these files and
+of the distinct-score CSV is printed.  The distinct-score file gets DISTINCT_MEASURES,
 the measures that are near-linear in the number of distinct predictions,
 with --verify-relations too.  A CSV of CHAIN_ROWS distinct Beta(2, 3)
 scores gets CHAIN_MEASURES, the chain-DP measures smce and emd and the
@@ -47,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from calmeasures.cli import main as calmeasure
-from calmeasures.empirical import read_jsonl
+from calmeasures.empirical import read_csv, read_jsonl
 
 ROWS = 10**6
 SEED = 0
@@ -92,6 +95,9 @@ def write_inputs(work: Path) -> tuple[list[tuple[Path, list[str]]],
     for path in unweighted:
         write_rows(path, p, y)
         runs.append((path, ["--verify-relations"]))
+    unweighted.append(work / "scores-weight-1.csv")
+    write_rows(unweighted[-1], p, y, np.ones(ROWS))
+    runs.append((unweighted[-1], ["--verify-relations"]))
     p = rng.beta(2.0, 3.0, ROWS)
     y = (rng.random(ROWS) < p).astype(np.int64)
     write_rows(work / "distinct.csv", p, y)
@@ -162,17 +168,21 @@ def output(path: Path) -> Path:
     return path.with_name(path.name + ".out.json")
 
 
+def print_read_times(paths: list[Path]) -> None:
+    """Print how long reading each of ``paths`` takes, in process."""
+    for path in paths:
+        read = read_csv if path.suffix == ".csv" else read_jsonl
+        start = time.perf_counter()
+        read(path)
+        seconds = time.perf_counter() - start
+        print(f"{read.__name__} {path.name}: {seconds:.2f} s")
+
+
 def same_values(groups: list[list[Path]]) -> bool:
     """Whether the files of each group reported the same values, bit for
-    bit, after printing the read time of each JSONL file."""
+    bit."""
     ok = True
     for group in groups:
-        for path in group:
-            if path.suffix == ".jsonl":
-                start = time.perf_counter()
-                read_jsonl(path)
-                seconds = time.perf_counter() - start
-                print(f"read_jsonl {path.name}: {seconds:.2f} s")
         reports = [json.loads(output(path).read_text()) for path in group]
         values = [{m: v.hex() for m, v in r["measures"].items()}
                   for r in reports]
@@ -188,6 +198,7 @@ def main() -> int:
             for path, options in runs
         ])
         ok = ok and same_values(groups)
+        print_read_times([*groups[0], *groups[1], Path(tmp) / "distinct.csv"])
         chain = Path(tmp) / "chain.csv"
         for grid in HUGE_GRIDS:
             ok &= run(f"chain.csv intce:{grid}",

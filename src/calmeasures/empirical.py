@@ -13,6 +13,7 @@ import json
 import math
 import re
 import warnings
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -304,18 +305,20 @@ def read_csv(path: str | Path) -> EmpiricalJoint:
     any order and among any others; none of the three may be named twice.
     The label must be the integer 0 or 1.  The body is parsed by one
     ``np.loadtxt`` call per block of text (see ``_parse_blocks``), as
-    JSONL is, given the block split at "\\n"."""
+    JSONL is, given the block split at "\\n"; a repeated line, such as a
+    2-decimal score's with no weight or a weight of 1, is parsed once per
+    block and carries its count, while a file of distinct or weighted lines
+    pays one block's count.  Errors name the file line, not the file."""
     with open(path, encoding="utf-8-sig") as fh:
         names = [name.strip() for name in next(csv.reader([fh.readline()]))]
         col = {name: i for i, name in enumerate(names)}
         if "prediction" not in col or "label" not in col:
             raise ValueError(
-                f"{path}: missing header with 'prediction' and 'label' columns"
+                "missing header with 'prediction' and 'label' columns"
             )
         for name in ("prediction", "label", "weight"):
             if names.count(name) > 1:
-                raise ValueError(
-                    f"{path}: column {name!r} appears more than once")
+                raise ValueError(f"column {name!r} appears more than once")
         fields = [("prediction", np.float64), ("label", np.int64)]
         if "weight" in col:
             fields.append(("weight", np.float64))
@@ -343,7 +346,7 @@ def read_csv(path: str | Path) -> EmpiricalJoint:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             warnings.simplefilter("ignore", UserWarning)
-            rows = _parse_blocks(path, fh, 2, parse, "no rows")
+            rows = _parse_blocks(fh, 2, parse, "no rows")
     return EmpiricalJoint.make(rows)
 
 
@@ -369,9 +372,13 @@ def read_jsonl(path: str | Path) -> EmpiricalJoint:
     one flat JSON array of numbers (see ``_fixed_layout_rows``); any other
     block by one ``json.loads`` call when it has no "[" (see
     ``_json_objects``), else line by line.  Each block is copied into
-    columns, so only one block's values are alive."""
+    columns, so only one block's values are alive.  A repeated line, as
+    in a file of 2-decimal unweighted scores, is parsed once per block and
+    carries its count; weights are never multiplied by a count, so a
+    weighted file is parsed line for line after one block's count (see
+    ``_parse_blocks``).  Errors name the file line, not the file."""
     with open(path, encoding="utf-8-sig") as fh:
-        rows = _parse_blocks(path, fh, 1, _jsonl_block, "no records")
+        rows = _parse_blocks(fh, 1, _jsonl_block, "no records")
     return EmpiricalJoint.make(rows)
 
 
@@ -461,40 +468,91 @@ def _fixed_layout_rows(text: str) -> np.ndarray | None:
     return rows
 
 
-def _parse_blocks(path: str | Path, fh, first: int, parse,
-                  empty: str) -> np.ndarray:
+def _parse_blocks(fh, first: int, parse, empty: str) -> np.ndarray:
     """The (n, 3) atom rows that ``parse`` gives for the blocks of text
     from ``fh`` on, file line ``first`` on, joined; a body without rows is
     refused with the message ``empty``.  A block is one string: ``_BLOCK``
     characters and the rest of the line the last of them is in, so it
     ends at a line break or at the end of the file, and no string is built
-    per line.  A block ``parse`` refuses (a missing key, a value of the
-    wrong type, a malformed value, a JSON integer too large for a float, a
-    row that is not an atom) is parsed again line by line, for an error
-    naming the file line of the first refused.  Lines are split at "\\n"
-    alone, where the file reader puts every line break: ``str.splitlines``
-    would also split at "\\x0c", "\\x1c" or "\\u2028" inside a line."""
-    errors = (KeyError, TypeError, ValueError, OverflowError)
+    per line.  Lines are split at "\\n" alone, where the file reader puts
+    every line break: ``str.splitlines`` would also split at "\\x0c",
+    "\\x1c" or "\\u2028" inside a line.
+
+    Repeated lines are parsed once.  A block's lines are counted, the
+    empty line "" dropped, and when at most half of them are distinct,
+    only the distinct ones are parsed (see ``_counted_rows``): each is one
+    row whose mass is its count.  Such rows give the joint of the rows of
+    every copy bit for bit.  Their masses are integers below 2**53, which
+    ``make`` adds exactly in any grouping, as it adds 1.0 per row; and a
+    row first seen in the block comes first, so the cells' order of first
+    occurrence stays.  A weight is never multiplied by its count: ten
+    additions of 0.1 give 0.9999999999999999, not 1.0.  Counting stops for
+    the rest of the file at the first block that is mostly distinct lines
+    or not one row of mass 1.0 per distinct line (a weighted block), so
+    the counted blocks are a prefix of the file, whose per-cell sums are
+    exact integers before the first row of another mass is added.  A file
+    of distinct or weighted scores pays one block's count and nothing
+    more.
+
+    A block that is not counted is parsed as it is.  One that ``parse``
+    refuses (a missing key, a value of the wrong type, a malformed value, a
+    JSON integer too large for a float, a row that is not an atom) is
+    parsed again line by line, for an error naming the file line of the
+    first refused; a refused count falls back to the block's own text,
+    so its error is that of the block."""
     blocks = [np.empty((0, 3))]
+    counting = True
     for text in iter(lambda: fh.read(_BLOCK) + fh.readline(), ""):
-        try:
-            blocks.append(parse(text))
-        except errors:
-            for n, line in enumerate(text.split("\n"), first):
-                try:
-                    parse(line)
-                except errors as exc:
-                    # numpy counts rows from the start of what it parsed
-                    what = re.sub(r" at row \d+", "", str(exc))
-                    if isinstance(exc, KeyError):
-                        what = f"missing key {what}"
-                    raise ValueError(f"{path}, line {n}: {what}") from exc
-            raise
+        rows = None
+        if counting:
+            counts = Counter(text.split("\n"))
+            del counts[""]
+            if 2 * len(counts) <= counts.total():
+                rows = _counted_rows(parse, counts)
+            counting = rows is not None
+        blocks.append(_text_rows(parse, text, first) if rows is None
+                      else rows)
         first += text.count("\n")
     rows = np.concatenate(blocks)
     if not len(rows):
-        raise ValueError(f"{path}: {empty}")
+        raise ValueError(empty)
     return rows
+
+
+_PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _counted_rows(parse, counts: Counter) -> np.ndarray | None:
+    """The rows ``parse`` gives for the distinct lines that ``counts``
+    counts, each with its count for mass, when it gives one row of mass
+    1.0 per line; else None, also when it refuses them."""
+    try:
+        rows = parse("\n".join(counts))
+    except _PARSE_ERRORS:
+        return None
+    if len(rows) != len(counts) or not (rows[:, 2] == 1.0).all():
+        return None
+    rows[:, 2] = np.fromiter(counts.values(), float, len(counts))
+    return rows
+
+
+def _text_rows(parse, text: str, first: int) -> np.ndarray:
+    """The rows ``parse`` gives for ``text``, the block that starts at
+    file line ``first``; when it refuses them, the error of its first line
+    that it refuses, naming that line, else its error on the block."""
+    try:
+        return parse(text)
+    except _PARSE_ERRORS:
+        for n, line in enumerate(text.split("\n"), first):
+            try:
+                parse(line)
+            except _PARSE_ERRORS as exc:
+                # numpy counts rows from the start of what it parsed
+                what = re.sub(r" at row \d+", "", str(exc))
+                if isinstance(exc, KeyError):
+                    what = f"missing key {what}"
+                raise ValueError(f"line {n}: {what}") from exc
+        raise
 
 
 def _json_objects(lines: list[str]) -> list[dict]:
@@ -526,11 +584,11 @@ def read_instance_json(path: str | Path) -> FiniteInstance:
     """Array of {"id": str, "mass": float, "pred": float, "cond_mean": float},
     the ids distinct JSON strings and the other values JSON numbers (see
     ``json_number``); an error in a point names its position in the array,
-    1 for the first, as a JSONL error names the line."""
+    1 for the first, as a JSONL error names the line, and not the file."""
     with open(path, encoding="utf-8-sig") as fh:
         data = json.load(fh)
     if not isinstance(data, list):
-        raise ValueError(f"{path}: expected a JSON array of points")
+        raise ValueError("expected a JSON array of points")
     points, first = [], {}
     for i, obj in enumerate(data, 1):
         try:
@@ -546,7 +604,7 @@ def read_instance_json(path: str | Path) -> FiniteInstance:
                                   in ("mass", "pred", "cond_mean"))))
         except (KeyError, TypeError) as exc:
             what = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-            raise ValueError(f"{path}, point {i}: {what}") from None
+            raise ValueError(f"point {i}: {what}") from None
     return FiniteInstance.make(points)
 
 

@@ -282,7 +282,7 @@ def test_other_layouts_take_the_object_path(tmp_path, text, error):
     if error is None:
         assert_bit_identical(read_jsonl(path), reference_read_jsonl(path))
     else:
-        with pytest.raises(ValueError, match=f"^{path}, {error}$"):
+        with pytest.raises(ValueError, match=f"^{error}$"):
             read_jsonl(path)
 
 

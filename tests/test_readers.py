@@ -91,10 +91,48 @@ def assert_bit_identical(joint, ref):
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("n", [10**3, 10**5])
 def test_bit_identical_to_the_row_readers(tmp_path, fmt, weighted, n):
+    """Half the scores at full precision, then every score on 2 decimals,
+    where unweighted lines repeat and are parsed once per block."""
     path = tmp_path / f"d.{fmt}"
-    write_rows(path, *random_rows(n, weighted, seed=n + weighted))
     read, reference = READERS[fmt]
-    assert_bit_identical(read(path), reference(path))
+    for full_precision in (0.5, 0.0):
+        write_rows(path, *random_rows(n, weighted, seed=n + weighted,
+                                      full_precision=full_precision))
+        assert_bit_identical(read(path), reference(path))
+
+
+def test_repeated_weighted_lines_are_added_one_by_one(tmp_path):
+    """Ten copies of a line of weight 0.1 add up to 0.9999999999999999, as
+    the row reader adds them; ten times 0.1 would be 1.0."""
+    path = tmp_path / "d.csv"
+    path.write_text("prediction,label,weight\n" + "0.5,1,0.1\n" * 10
+                    + "0.25,0,3\n")
+    total = 0.0
+    for _ in range(10):
+        total += 0.1
+    assert total != 10 * 0.1
+    joint = read_csv(path)
+    assert_bit_identical(joint, reference_read_csv(path))
+    assert joint.m1[joint.vals == 0.5].tolist() == [total / (total + 3.0)]
+
+
+def test_lines_of_weight_1_after_a_weighted_block(tmp_path, monkeypatch):
+    """Counting stops at the first weighted block: 40 lines of weight 1,
+    added one by one to the weights before them, give other bits than
+    their counts added block by block."""
+    monkeypatch.setattr(empirical, "_BLOCK", 64)
+    path = tmp_path / "d.csv"
+    path.write_text("prediction,label,weight\n0.25,0,1\n"
+                    + "0.5,1,0.6576976696095598\n" * 3 + "0.5,1,1\n" * 40)
+    assert_bit_identical(read_csv(path), reference_read_csv(path))
+
+
+def test_repeated_lines_of_spaces_in_jsonl(tmp_path):
+    """A JSONL line of spaces gives no row, so the distinct lines of its
+    block give fewer rows than lines and the block is read as it is."""
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"p": 0.4, "y": 1}\n  \n' * 5 + '{"p": 0.5, "y": 0}\n')
+    assert_bit_identical(read_jsonl(path), reference_read_jsonl(path))
 
 
 def test_jsonl_text_with_brackets_reads_line_by_line(tmp_path):
@@ -240,14 +278,19 @@ def test_instance_mass_overflow_is_named(tmp_path, capsys):
         assert "total mass overflows" in err
 
 
-@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-def test_reader_peak_memory_per_row(tmp_path, fmt):
+@pytest.mark.parametrize("fmt,weighted,bound", [
+    ("csv", True, 120), ("jsonl", True, 120),
+    ("csv", False, 15), ("jsonl", False, 15),
+], ids=["csv", "jsonl", "csv-unweighted", "jsonl-unweighted"])
+def test_reader_peak_memory_per_row(tmp_path, fmt, weighted, bound):
     # At k <= 101 the row readers peaked at about 180 (CSV) and 200
     # (JSONL) bytes per row; the columns and the level-set pass need
-    # about 80.
+    # about 80.  Unweighted lines repeat, and each block keeps only its
+    # distinct lines' rows: 7.6 (CSV) and 5.0 (JSONL) bytes per row, where
+    # parsing every copy peaked at 66.
     n = 10**5
     path = tmp_path / f"d.{fmt}"
-    write_rows(path, *random_rows(n, True, seed=7, full_precision=0.0))
+    write_rows(path, *random_rows(n, weighted, seed=7, full_precision=0.0))
     read = READERS[fmt][0]
     read(path)
     tracemalloc.start()
@@ -256,13 +299,13 @@ def test_reader_peak_memory_per_row(tmp_path, fmt):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 120 * n
+    assert peak < bound * n
 
 
 def refused_at(reader, path, message):
     with pytest.raises(ValueError) as info:
         reader(path)
-    assert str(info.value).startswith(f"{path}, {message}")
+    assert str(info.value).startswith(message)
 
 
 @pytest.mark.parametrize("name,text,message", [
@@ -297,7 +340,7 @@ def test_row_error_names_the_file_line(tmp_path, capsys, name, text,
     refused_at(read_csv if path.suffix == ".csv" else read_jsonl, path,
                message)
     err = exits_2_with_one_line(capsys, ["report", str(path)])
-    assert f"{path}, {message}" in err and " at row " not in err
+    assert f"input {path}: {message}" in err and " at row " not in err
 
 
 def test_row_error_in_a_late_block_names_its_line(tmp_path):
@@ -330,7 +373,7 @@ def test_row_that_is_no_atom_names_its_file_line(tmp_path, capsys, name,
     refused_at(read_csv if path.suffix == ".csv" else read_jsonl, path,
                message + "invalid atom ")
     err = exits_2_with_one_line(capsys, ["report", str(path)])
-    assert f"{path}, {message}invalid atom " in err
+    assert f"input {path}: {message}invalid atom " in err
 
 
 def test_row_that_is_no_atom_in_a_late_block_names_its_line(tmp_path):
@@ -344,6 +387,109 @@ def test_row_that_is_no_atom_in_a_late_block_names_its_line(tmp_path):
         f"{1.25 if i == 9000 else i / 10**4!r},{i % 2}\n"
         for i in range(10**4)))
     refused_at(read_csv, path, "line 9002: invalid atom (1.25, 0.0, 1.0)")
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("bad-row.csv", "prediction,label\n0.4,1\n0.4,2\n",
+     "line 3: invalid atom "),
+    ("bad-line.jsonl", '{"p": 0.4, "y": 1}\n{"p": 0.4, "y": 1,}\n',
+     "line 2: "),
+    ("inst.json", '[{"id": "a", "mass": 1, "pred": 0.5, "cond_mean": 1}, '
+     '{"id": "a", "mass": 1, "pred": 0.2, "cond_mean": 0}]',
+     "point 2: 'id' \"a\" is already point 1's"),
+], ids=["csv", "jsonl", "instance-json"])
+def test_reader_error_names_the_file_once(tmp_path, capsys, name, text,
+                                          message):
+    """The CLI names the input file; the reader names only the line or
+    point."""
+    path = tmp_path / name
+    path.write_text(text)
+    for command in ("report", "oracle")[:1 + (path.suffix == ".json")]:
+        err = exits_2_with_one_line(capsys, [command, str(path)])
+        assert err.count(str(path)) == 1
+        assert err.startswith(f"error: input {path}: {message}")
+
+
+@pytest.mark.parametrize("name,text,message", [
+    ("whitespace-line.csv",
+     "prediction,label\n0.4,1\n0.4,1\n0.5,0\n \n0.4,1\n0.5,0\n0.4,1\n",
+     "line 5: could not convert string ' ' to float64, column 1."),
+    ("bad-row-twice.csv", "prediction,label\n0.4,1\n0.4,x\n0.5,0\n0.4,x\n"
+     "0.4,1\n", "line 3: could not convert string 'x' to int64, column 2."),
+    ("bad-line-twice.jsonl", '{"p": 0.4, "y": 1}\n{"p": 0.4, "y": 1,}\n'
+     '{"p": 0.4, "y": 1}\n{"p": 0.4, "y": 1,}\n',
+     "line 2: Expecting property name enclosed in double quotes"),
+    ("no-atom-twice.jsonl", '{"p": 0.4, "y": 1}\n{"p": 1.5, "y": 1}\n'
+     '{"p": 0.4, "y": 1}\n{"p": 1.5, "y": 1}\n',
+     "line 2: invalid atom (1.5, 1.0, 1.0)"),
+], ids=["whitespace-line-csv", "bad-row-twice-csv", "bad-line-twice-jsonl",
+        "no-atom-twice-jsonl"])
+def test_repeated_lines_keep_the_first_error(tmp_path, capsys, name, text,
+                                             message):
+    """Repeated lines are parsed once per block, but a refused line is
+    named where it first occurs; a line of spaces between repeated lines
+    is refused, not dropped as the empty line is."""
+    path = tmp_path / name
+    path.write_text(text)
+    refused_at(read_csv if path.suffix == ".csv" else read_jsonl, path,
+               message)
+    err = exits_2_with_one_line(capsys, ["report", str(path)])
+    assert f"input {path}: {message}" in err
+
+
+def parse_calls(monkeypatch, path):
+    """The texts the reader of ``path`` hands its parse callable, and the
+    file's blocks."""
+    calls, parse_blocks = [], empirical._parse_blocks
+
+    def spy(fh, first, parse, empty):
+        def spied(text):
+            calls.append(text)
+            return parse(text)
+        return parse_blocks(fh, first, spied, empty)
+
+    with open(path) as fh:
+        if path.suffix == ".csv":
+            fh.readline()
+        blocks = list(iter(lambda: fh.read(empirical._BLOCK) + fh.readline(),
+                           ""))
+    monkeypatch.setattr(empirical, "_parse_blocks", spy)
+    READERS[path.suffix[1:]][0](path)
+    return calls, blocks
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("weighted,full_precision", [
+    (False, 1.0), (True, 0.0)], ids=["distinct", "weighted"])
+def test_lines_that_do_not_repeat_are_parsed_once(tmp_path, monkeypatch,
+                                                  fmt, weighted,
+                                                  full_precision):
+    """Distinct scores, or 2-decimal scores with weights: after the first
+    block, whose lines are counted, each block is parsed as it is, once."""
+    monkeypatch.setattr(empirical, "_BLOCK", 2000)
+    path = tmp_path / f"d.{fmt}"
+    write_rows(path, *random_rows(2000, weighted, seed=3,
+                                  full_precision=full_precision))
+    calls, blocks = parse_calls(monkeypatch, path)
+    assert len(blocks) > 10
+    assert len(calls) <= len(blocks) + 1
+    assert calls[len(calls) - len(blocks) + 1:] == blocks[1:]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_repeated_lines_are_parsed_once_per_block(tmp_path, monkeypatch,
+                                                  fmt):
+    """2-decimal unweighted scores: each block is parsed once, as its
+    distinct lines (at most 101 scores times 2 labels)."""
+    monkeypatch.setattr(empirical, "_BLOCK", 10000)
+    path = tmp_path / f"d.{fmt}"
+    write_rows(path, *random_rows(10**4, False, seed=4, full_precision=0.0))
+    calls, blocks = parse_calls(monkeypatch, path)
+    assert len(blocks) > 5 and len(calls) == len(blocks)
+    for text, block in zip(calls, blocks):
+        lines = text.split("\n")
+        assert len(lines) <= 202 and len(set(lines)) == len(lines)
+        assert set(lines) == set(block.split("\n")) - {""}
 
 
 BOM_INPUTS = {
@@ -421,7 +567,7 @@ def test_csv_quoted_line_break_is_refused_where_it_opens(tmp_path, capsys,
     path.write_text("prediction,label,note\n" + "".join(rows))
     message = f"line {at + 2}: unclosed quote"
     refused_at(read_csv, path, message)
-    assert f"{path}, {message}" in exits_2_with_one_line(
+    assert f"input {path}: {message}" in exits_2_with_one_line(
         capsys, ["report", str(path)])
 
 
@@ -499,7 +645,7 @@ def test_instance_point_error_names_the_point(tmp_path, capsys, points,
     refused_at(read_instance_json, path, error)
     for command in ("report", "oracle"):
         err = exits_2_with_one_line(capsys, [command, str(path)])
-        assert err.endswith(f"{path}, {error}\n")
+        assert err.endswith(f"input {path}: {error}\n")
 
 
 # One JSON input of each kind, with %s in a numeric field, and the argv
