@@ -127,14 +127,6 @@ def test_lines_of_weight_1_after_a_weighted_block(tmp_path, monkeypatch):
     assert_bit_identical(read_csv(path), reference_read_csv(path))
 
 
-def test_repeated_lines_of_spaces_in_jsonl(tmp_path):
-    """A JSONL line of spaces gives no row, so the distinct lines of its
-    block give fewer rows than lines and the block is read as it is."""
-    path = tmp_path / "d.jsonl"
-    path.write_text('{"p": 0.4, "y": 1}\n  \n' * 5 + '{"p": 0.5, "y": 0}\n')
-    assert_bit_identical(read_jsonl(path), reference_read_jsonl(path))
-
-
 def test_jsonl_text_with_brackets_reads_line_by_line(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text('{"p": 0.4, "y": 1, "id": "a[1]"}\n'
@@ -176,8 +168,9 @@ def test_csv_dialect_accepted(tmp_path, text):
     '{"p": 0.4, "y": 1.0, "w": 2}\r\n{"p": 0.5, "y": 0.0}\r\n',
     '\n{"p": 0.4, "y": 1, "w": 2}\n\n  \n{"p": 0.5, "y": 0}\n\n',
     '  {"p": 0.4 ,"y": 1,"w":2}  \n\t{"p":0.5,"y":0}',
+    '{"p": 0.4, "y": 1}\n  \n' * 4 + '{"p": 0.5, "y": 0}\n' * 2,
 ], ids=["key-order", "extra-key", "crlf-float-labels", "blank-lines",
-        "spaces"])
+        "spaces", "repeated-lines-of-spaces"])
 def test_jsonl_dialect_accepted(tmp_path, text):
     path = tmp_path / "d.jsonl"
     path.write_bytes(text.encode())
