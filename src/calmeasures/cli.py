@@ -10,8 +10,9 @@ only seed any command takes; floats are printed with 17 significant digits
 so regression diffs are exact.
 
 report --verify-relations and oracle check the relations of
-``measures.RELATIONS`` between the values they compute; oracle computes
-intce at its default grid.
+``measures.RELATIONS`` between the values they compute.  oracle resolves
+dce, dce_upper, intce, smce and ece through the registry, before it reads
+its input, computes them in that order and prints the first four.
 
 Exit codes, by :data:`EXIT_CODES`: 0 ok, 1 a relation violated (report
 --verify-relations, naming each), 2 malformed input, argument or output path,
@@ -33,14 +34,7 @@ from itertools import chain, count
 from pathlib import Path
 
 from . import __version__
-from .basic import ece
-from .distance import (
-    DEFAULT_GRID,
-    OracleSizeError,
-    dce_oracle,
-    dce_upper_oracle,
-    intce_opt,
-)
+from .distance import OracleSizeError
 from .empirical import (
     EmpiricalJoint,
     FiniteInstance,
@@ -52,7 +46,7 @@ from .empirical import (
     write_instance_json,
 )
 from .fixtures import FIXTURES, verify
-from .lipschitz import smce
+from .lipschitz import smce  # bench/test_bench.py reads cli.smce
 from .measures import MEASURES, TOL, MeasureError, lookup, relation_checks
 from .measures import resolve
 from .online import ADVERSARIES, FORECASTERS, Transcript, prefix_curves, run
@@ -236,13 +230,15 @@ def cmd_report(args) -> None:
 
 
 def cmd_oracle(args) -> None:
+    guarded = resolve_guarded(["dce", "dce_upper", "intce", "smce", "ece"])
     joint, instance = load_joint(args.input, (".json",))
-    values = dict(dce=dce_oracle(instance), dce_upper=dce_upper_oracle(joint),
-                  intce=intce_opt(joint, DEFAULT_GRID), smce=smce(joint))
+    values = {spec: f(joint, instance) for spec, f in guarded.items()}
+    checks = relation_checks(values)
+    del values["ece"]  # a side of the sandwich, not a distance
     obj = {
         "schema": 1,
         **values,
-        "sandwich_checks": relation_checks({**values, "ece": ece(joint)}),
+        "sandwich_checks": checks,
         "meta": {
             "version": __version__,
             "input_digest": input_digest(args.input),

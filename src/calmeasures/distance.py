@@ -20,18 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .empirical import EmpiricalJoint, FiniteInstance, grid_cell
-from .lipschitz import residuals
+from .lipschitz import OracleSizeError, residuals
 
 # the most points an oracle enumerates the set partitions of
 ORACLE_CAP = 12
 # intce's grid resolution g when none is given
 DEFAULT_GRID = 1000
-
-
-class OracleSizeError(ValueError):
-    """A solve over its size cap: an oracle's instance has more than
-    ORACLE_CAP points, or an intce DP would take more than _DP_STEPS
-    steps."""
 
 
 @dataclass(frozen=True)

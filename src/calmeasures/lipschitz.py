@@ -28,6 +28,15 @@ import numpy as np
 
 from .empirical import EmpiricalJoint, left_sum
 
+# the most bytes low_degree_ce's term table may take
+_TERM_BYTES = 2**27
+
+
+class OracleSizeError(ValueError):
+    """A solve over its size cap: a distance oracle's instance has more than
+    ``distance.ORACLE_CAP`` points, an intce DP would take more than its
+    step cap, or a low_degree_ce term table more than _TERM_BYTES."""
+
 
 def residuals(joint: EmpiricalJoint) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct values and their residual masses c_v = sum m (y - v)."""
@@ -102,9 +111,17 @@ def low_degree_ce(joint: EmpiricalJoint, d: int) -> float:
     The objective is linear in the coefficients, so the maximum sits at a
     signed monomial vertex: max over 0 <= k <= d of |E[v^k (y - v)]|, each
     a row of one :func:`~calmeasures.empirical.left_sum` of level terms.
+    A degree's row of n level terms is alive twice at the peak (in the list
+    and the stacked table, or in the table and its cumsum), so it takes
+    16 n bytes and ~150 bytes of array overhead, counted as 256; a table
+    over _TERM_BYTES is refused before any term is built.
     """
     check_degree(d)
     vals, rs = joint.vals, joint.residual
+    table = (d + 1) * (16 * len(vals) + 256)
+    if table > _TERM_BYTES:
+        raise OracleSizeError(f"degree d={d} needs {table} bytes of terms, "
+                              f"over the cap of {_TERM_BYTES}")
     sums = left_sum(np.array([vals**k * rs for k in range(d + 1)]))
     return float(np.abs(sums).max())
 

@@ -1,7 +1,21 @@
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from calmeasures import EmpiricalJoint, FiniteInstance, from_samples
+
+
+def pytest_collection_modifyitems(items):
+    """A UserWarning fails the test of tests/ that raises it, unless the
+    test expects it (``pytest.warns``) or filters it by its own mark, which
+    is applied after this one."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::UserWarning"),
+                            append=False)
 
 
 def random_joint(rng, max_values=10):

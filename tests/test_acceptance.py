@@ -157,16 +157,18 @@ def test_criterion_06_trustworthiness():
 def test_criterion_07_distance_sandwiches():
     rng = np.random.default_rng(7)
     slacks = [math.inf] * 5
-    for _ in range(200):
-        inst = random_instance(rng, max_points=9)
-        joint = project(inst)
-        d = dce_oracle(inst)
-        up = dce_upper_oracle(joint)
-        slacks[0] = min(slacks[0], d + 1e-9 - smce(joint) / 2.0)
-        slacks[1] = min(slacks[1], up + 1e-12 - d)
-        slacks[2] = min(slacks[2], 4.0 * math.sqrt(d) + 1e-9 - up)
-        slacks[3] = min(slacks[3], intce_opt(joint, 1000) + 2e-3 - up)
-        slacks[4] = min(slacks[4], ece(joint) + 1e-12 - up)
+    # some seeded instances put two predictions in one grid cell
+    with pytest.warns(UserWarning, match="too coarse"):
+        for _ in range(200):
+            inst = random_instance(rng, max_points=9)
+            joint = project(inst)
+            d = dce_oracle(inst)
+            up = dce_upper_oracle(joint)
+            slacks[0] = min(slacks[0], d + 1e-9 - smce(joint) / 2.0)
+            slacks[1] = min(slacks[1], up + 1e-12 - d)
+            slacks[2] = min(slacks[2], 4.0 * math.sqrt(d) + 1e-9 - up)
+            slacks[3] = min(slacks[3], intce_opt(joint, 1000) + 2e-3 - up)
+            slacks[4] = min(slacks[4], ece(joint) + 1e-12 - up)
     assert all(s >= 0.0 for s in slacks), slacks
     print(f"PASS criterion 7: distance sandwiches on 200 instances "
           f"(min slack {min(slacks):+.2e})")

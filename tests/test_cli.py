@@ -209,6 +209,17 @@ class TestOracle:
             )
         )
         assert main(["oracle", str(p)]) == 4
+        assert capsys.readouterr().err == (
+            "error: measure 'dce': 14 points exceed the oracle cap 12\n")
+
+    def test_solves_through_the_registry(self, instance_json, monkeypatch,
+                                         capsys):
+        """A wrapper on the registry's dce_oracle sees oracle's one call."""
+        calls, solve = [], measures.dce_oracle
+        monkeypatch.setattr(measures, "dce_oracle",
+                            lambda inst: calls.append(inst) or solve(inst))
+        assert main(["oracle", instance_json]) == 0
+        assert len(calls) == 1
 
     def test_malformed_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.json"

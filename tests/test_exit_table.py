@@ -1,6 +1,7 @@
 """Failures outside a measure or a reader: each maps through the CLI's one
 exit-code table to its code, with one error line and no traceback."""
 
+import time
 import warnings
 
 import numpy as np
@@ -69,6 +70,17 @@ def test_intce_over_its_step_cap_exits_4(tmp_path, capsys):
     err = one_error_line(capsys)
     assert err.startswith("error: measure 'intce:1000000': grid g=1000000 "
                           "needs ")
+
+
+def test_lowdeg_over_its_term_cap_exits_4(csv, capsys):
+    """A degree of 10^9 would need a table of ~300 GB of terms, and is
+    refused before any of them is built."""
+    start = time.perf_counter()
+    assert main(["report", csv, "--measures", "lowdeg:1000000000"]) == 4
+    assert time.perf_counter() - start < 1.0
+    err = one_error_line(capsys)
+    assert err.startswith("error: measure 'lowdeg:1000000000': degree "
+                          "d=1000000000 needs ")
 
 
 def test_reader_out_of_memory_exits_5(csv, monkeypatch, capsys):

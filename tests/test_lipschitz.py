@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from calmeasures import (
+    EmpiricalJoint,
+    OracleSizeError,
     ece,
     emd_joints,
     from_samples,
@@ -132,6 +136,27 @@ class TestLowDegree:
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
             low_degree_ce(two_point_joint(0.1), -1)
+
+    def test_term_table_at_its_cap_stays_below_it(self):
+        """At 2^20 distinct predictions the cap of 2^27 bytes allows degree
+        6: its table peaks at ~117 MB under tracemalloc, below the cap, and
+        degree 7 is refused before one row of terms is built."""
+        k = 2**20
+        vals = np.arange(k) / k
+        joint = EmpiricalJoint.make(np.stack(
+            [vals, np.ones(k), np.full(k, 1.0 / k)], axis=1))
+        tracemalloc.start()
+        try:
+            low_degree_ce(joint, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with pytest.raises(OracleSizeError, match="degree d=7 needs"):
+                low_degree_ce(joint, 7)
+            refused_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2**26 < peak <= 2**27
+        assert refused_peak < 8 * k
 
 
 class TestKernel:

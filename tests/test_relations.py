@@ -136,8 +136,10 @@ def test_dce_upper_le_intce():
     prediction on B,
     E|k(v) - v| <= sum_B sum_(v in B) m_v (|v - vbar_B| + |vbar_B - ybar_B|)
     <= max width + sum_B |sum_(v in B) c_v|, which is intce's objective.
-    So dce_upper <= intce."""
-    check("dce_upper_le_intce")
+    So dce_upper <= intce.  Some seeded instances put two predictions in
+    one cell of the grid g = 50, which intce warns of."""
+    with pytest.warns(UserWarning, match="too coarse"):
+        check("dce_upper_le_intce")
 
 
 def test_dce_upper_le_ece():
