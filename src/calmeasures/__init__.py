@@ -43,7 +43,6 @@ from .distance import (
 from .empirical import (
     EmpiricalJoint,
     FiniteInstance,
-    RecalibrationMap,
     from_samples,
     project,
     read_csv,

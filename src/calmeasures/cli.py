@@ -97,8 +97,6 @@ def _render(obj) -> str:
         return format(obj, ".17g")
     if isinstance(obj, int):
         return str(obj)
-    if obj is None:
-        return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -335,7 +333,7 @@ def cmd_plotdata(args) -> None:
             transcript = Transcript(tuple(
                 map(parse_round, count(1), data["rounds"])))
         curves = prefix_curves(transcript, guarded)
-        lines.append("t,p,y," + ",".join(f"prefix_{m}" for m in measures))
+        lines.append(",".join(["t,p,y", *(f"prefix_{m}" for m in measures)]))
         for t, (p, y) in enumerate(transcript.rounds, start=1):
             lines.append(",".join([f"{t},{p:.17g},{y}", *(
                 f"{curves[m][t - 1]:.17g}" for m in measures)]))

@@ -56,18 +56,11 @@ class IntervalPartition:
     def __len__(self) -> int:
         return len(self.breakpoints) - 1
 
-    def index(self, v: float) -> int:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"value {v} outside [0, 1]")
-        return int(self.indices(v))
-
     def indices(self, vs: np.ndarray) -> np.ndarray:
-        """index(v) for each of an array of values in [0, 1]."""
+        """The interval [b_j, b_{j+1}) holding each of an array of values in
+        [0, 1], by its index j; 1 is in the last interval."""
         j = np.searchsorted(self.breakpoints, vs, side="right") - 1
-        return np.minimum(j, len(self) - 1)  # 1 is in the last interval
-
-    def midpoint(self, j: int) -> float:
-        return 0.5 * (self.breakpoints[j] + self.breakpoints[j + 1])
+        return np.minimum(j, len(self) - 1)
 
 
 def ce_partition(joint: EmpiricalJoint, part: IntervalPartition) -> float:

@@ -193,23 +193,6 @@ class EmpiricalJoint:
         return self.make(_label_rows(values, (0, 1), (self.m0, self.m1)))
 
 
-@dataclass(frozen=True)
-class RecalibrationMap:
-    """Conditional label mean per distinct prediction value of a joint,
-    looked up in its level-set columns by binary search."""
-
-    levels: EmpiricalJoint
-
-    def __call__(self, v: float) -> float:
-        i = int(np.searchsorted(self.levels.vals, v))
-        if i == len(self.levels.vals) or self.levels.vals[i] != v:
-            raise KeyError(v)
-        return float(self.levels.mean[i])
-
-    def as_dict(self) -> dict[float, float]:
-        return dict(zip(self.levels.vals.tolist(), self.levels.mean.tolist()))
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteInstance:
     """Finite feature space: point i has id ``ids[i]``, mass ``mass[i]``,
@@ -259,30 +242,21 @@ class FiniteInstance:
         return FiniteInstance(ids, mass / total, pred, cond_mean)
 
 
-def from_samples(
-    pairs: Sequence[tuple[float, int]],
-    weights: Sequence[float] | None = None,
-) -> EmpiricalJoint:
+def from_samples(pairs: Sequence[tuple[float, int]]) -> EmpiricalJoint:
     """Build a canonical joint from (prediction, label) samples, given as
-    pairs or as an (n, 2) array.
-
-    Unweighted input gets uniform mass 1/n; weights are normalized by their
-    sum, so they are scale invariant.
-    """
+    pairs or as an (n, 2) array, each of mass 1/n.  Weighted samples are
+    (v, y, w) atoms of :meth:`EmpiricalJoint.make`."""
     if not len(pairs):
         raise ValueError("empty input")
     rows = np.ones((len(pairs), 3))
     rows[:, :2] = pairs
-    if weights is not None:
-        if len(weights) != len(pairs):
-            raise ValueError("weights length must match pairs length")
-        rows[:, 2] = weights
     return EmpiricalJoint.make(rows)
 
 
-def recalibrate(joint: EmpiricalJoint) -> RecalibrationMap:
-    """Map each distinct prediction value v to E[y | v] under the joint."""
-    return RecalibrationMap(joint)
+def recalibrate(joint: EmpiricalJoint) -> dict[float, float]:
+    """E[y | v] for each distinct prediction value v of the joint: its
+    ``mean`` column keyed by ``vals``."""
+    return dict(zip(joint.vals.tolist(), joint.mean.tolist()))
 
 
 def project(instance: FiniteInstance) -> EmpiricalJoint:

@@ -30,12 +30,15 @@ from .empirical import EmpiricalJoint, left_sum
 
 # the most bytes low_degree_ce's term table may take
 _TERM_BYTES = 2**27
+# the most bytes kernel_ce's two k x k arrays may take: k <= 8192
+_GRAM_BYTES = 2**30
 
 
 class OracleSizeError(ValueError):
     """A solve over its size cap: a distance oracle's instance has more than
     ``distance.ORACLE_CAP`` points, an intce DP would take more than its
-    step cap, or a low_degree_ce term table more than _TERM_BYTES."""
+    step cap, a low_degree_ce term table more than _TERM_BYTES, or
+    kernel_ce's Gram arrays more than _GRAM_BYTES."""
 
 
 def residuals(joint: EmpiricalJoint) -> tuple[np.ndarray, np.ndarray]:
@@ -153,9 +156,14 @@ def kernel_ce(joint: EmpiricalJoint, kernel: str = "laplace") -> float:
     form sum_i r_i sum_j K_ij r_j is added by
     :func:`~calmeasures.empirical.left_sum`, each inner sum first, with no
     BLAS product.  The Gram matrix is rebound to its product with r, so at
-    most two k x k arrays are alive at once."""
+    most two k x k arrays are alive at once: 16 k^2 bytes, refused before
+    either is built when over _GRAM_BYTES."""
     kern = _KERNELS[check_kernel(kernel)]
     vs, rs = residuals(joint)
+    gram_bytes = 16 * len(vs) ** 2
+    if gram_bytes > _GRAM_BYTES:
+        raise OracleSizeError(f"{len(vs)} levels need {gram_bytes} bytes of "
+                              f"Gram arrays, over the cap of {_GRAM_BYTES}")
     gram = kern(vs[:, None], vs[None, :]) * rs
     quad = left_sum(rs * left_sum(gram))
     return math.sqrt(max(quad, 0.0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from calmeasures import EmpiricalJoint, FiniteInstance, from_samples
+from calmeasures import EmpiricalJoint, FiniteInstance
 
 
 def pytest_collection_modifyitems(items):
@@ -23,14 +23,12 @@ def random_joint(rng, max_values=10):
     prediction values and both labels present per value."""
     k = int(rng.integers(1, max_values + 1))
     vs = rng.uniform(0.0, 1.0, size=k)
-    pairs = []
-    weights = []
+    atoms = []
     for v in vs:
         mu = rng.uniform(0.0, 1.0)
         m = rng.uniform(0.1, 1.0)
-        pairs.extend([(float(v), 1), (float(v), 0)])
-        weights.extend([m * mu, m * (1.0 - mu)])
-    return from_samples(pairs, weights)
+        atoms.extend([(float(v), 1, m * mu), (float(v), 0, m * (1.0 - mu))])
+    return EmpiricalJoint.make(atoms)
 
 
 def random_calibrated_joint(rng, max_values=10):

@@ -257,7 +257,7 @@ class CanonicalPredictor:
     values: tuple[float, ...]
 
     def __call__(self, v: float) -> float:
-        return self.values[self.partition.index(v)]
+        return self.values[int(self.partition.indices(v))]
 
     def apply(self, joint: EmpiricalJoint) -> EmpiricalJoint:
         return joint.with_values(self._at(joint.vals))
@@ -278,8 +278,9 @@ def canonical_predictor(
     j = part.indices(joint.vals)
     mass = np.bincount(j, joint.mass, len(part)).tolist()
     ymass = np.bincount(j, joint.mass * joint.mean, len(part)).tolist()
+    bs = part.breakpoints
     values = tuple(
-        y / m if m > 0.0 else part.midpoint(i)
+        y / m if m > 0.0 else 0.5 * (bs[i] + bs[i + 1])
         for i, (m, y) in enumerate(zip(mass, ymass))
     )
     return CanonicalPredictor(part, values)

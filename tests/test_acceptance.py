@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from calmeasures import (
+    EmpiricalJoint,
     best_response,
     cdl,
     cfdl,
@@ -201,12 +202,9 @@ def test_criterion_09_smooth_stability():
     for _ in range(500):
         j = random_joint(rng)
         eta = float(rng.uniform(0.0, 0.25))
-        shifted = from_samples(
-            [
-                (min(1.0, max(0.0, v + rng.uniform(-eta, eta))), y)
-                for v, y, _ in j.atoms
-            ],
-            [m for _, _, m in j.atoms],
+        shifted = EmpiricalJoint.make(
+            (min(1.0, max(0.0, v + rng.uniform(-eta, eta))), y, m)
+            for v, y, m in j.atoms
         )
         worst = max(worst, abs(smce(j) - smce(shifted)) - 2.0 * eta)
     assert worst <= 1e-9

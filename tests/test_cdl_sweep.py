@@ -50,9 +50,10 @@ def exact_cdl(joint):
 
 
 def joint_of(p, y, w=None):
-    return from_samples(list(zip(np.asarray(p, float).tolist(),
-                                 np.asarray(y, int).tolist())),
-                        None if w is None else np.asarray(w).tolist())
+    p, y = np.asarray(p, float).tolist(), np.asarray(y, int).tolist()
+    if w is None:
+        return from_samples(list(zip(p, y)))
+    return EmpiricalJoint.make(list(zip(p, y, np.asarray(w).tolist())))
 
 
 def seeded_joints():

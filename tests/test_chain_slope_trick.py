@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from calmeasures import (
+    EmpiricalJoint,
     IntervalPartition,
     ece,
     emd_joints,
@@ -98,9 +99,10 @@ def full_cap_intce(joint, g):
 
 
 def joint_of(p, y, w=None):
-    return from_samples(list(zip(np.asarray(p, float).tolist(),
-                                 np.asarray(y, int).tolist())),
-                        None if w is None else np.asarray(w).tolist())
+    p, y = np.asarray(p, float).tolist(), np.asarray(y, int).tolist()
+    if w is None:
+        return from_samples(list(zip(p, y)))
+    return EmpiricalJoint.make(list(zip(p, y, np.asarray(w).tolist())))
 
 
 def seeded_joints(sizes, seed):

@@ -226,6 +226,15 @@ class TestOracle:
         p.write_text("{not json")
         assert main(["oracle", str(p)]) == 2
 
+    def test_takes_no_grid(self, instance_json, capsys):
+        """intce's grid is the registry's default: ``report --measures
+        intce:<g>`` sets it."""
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", instance_json, "--grid", "500"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: unrecognized arguments: --grid 500\n")
+
     def test_non_json_input_is_refused_by_its_suffix(self, data_csv, capsys):
         assert main(["oracle", data_csv]) == 2
         (err,) = capsys.readouterr().err.splitlines()
@@ -273,6 +282,15 @@ class TestOnline:
         assert main(args + ["-o", str(a)]) == 0
         assert main(args + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_threshold_adversary_refuses_a_randomized_forecaster(self,
+                                                                 capsys):
+        argv = ["online", "--forecaster", "grid_random:10", "--adversary",
+                "threshold", "-T", "3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: online: threshold adversary requires a deterministic "
+            "forecaster\n")
 
     def test_bad_specs_exit_2(self, capsys):
         base = ["online", "-T", "5"]
@@ -510,6 +528,23 @@ class TestPlotdata:
         lines = out.strip().splitlines()
         assert lines[0] == "t,p,y,prefix_ece,prefix_smce"
         assert len(lines) == 11
+
+    @pytest.mark.parametrize("specs,text", [
+        ("", "t,p,y\n1,0.25,1\n2,0.75,0\n3,0.25,0\n4,0.5,1\n"),
+        ("ece,cdl", "t,p,y,prefix_ece,prefix_cdl\n1,0.25,1,0.75,1.5\n"
+         "2,0.75,0,1.5,2\n3,0.25,0,1.25,1.5\n4,0.5,1,1.75,2\n"),
+    ])
+    def test_transcript_header_has_one_field_per_column(self, tmp_path,
+                                                        specs, text, capsys):
+        """The header joins its fields as the rows do: without measures it
+        is t,p,y, not t,p,y, with an empty fourth field."""
+        p = tmp_path / "t.json"
+        p.write_text(json.dumps(
+            {"rounds": [[0.25, 1], [0.75, 0], [0.25, 0], [0.5, 1]]}))
+        code, out = run_cli(["plotdata", "--kind", "transcript", str(p),
+                             "--measures", specs], capsys)
+        assert code == 0
+        assert out == text
 
     def test_malformed_transcript_exit_2(self, tmp_path, capsys):
         p = tmp_path / "t.json"

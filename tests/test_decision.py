@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from calmeasures import (
     DecisionTask,
+    EmpiricalJoint,
     best_response,
     cdl,
     cfdl,
@@ -90,7 +91,7 @@ class TestCfdl:
         for _ in range(50):
             j = random_joint(rng)
             vstar = float(rng.uniform(0.01, 0.99))
-            phat = recalibrate(j).as_dict()
+            phat = recalibrate(j)
             want = sum(
                 mass * v_divergence(vstar, phat[v], v)
                 for v, mass in zip(j.vals.tolist(), j.mass.tolist())
@@ -147,7 +148,7 @@ class TestCdl:
         # constant 1/2 predictions with mean 1/2 + eps: the sup is only
         # approached as vstar decreases to 1/2, and must still be found
         eps = 0.05
-        j = from_samples([(0.5, 1), (0.5, 0)], [0.5 + eps, 0.5 - eps])
+        j = EmpiricalJoint.make([(0.5, 1, 0.5 + eps), (0.5, 0, 0.5 - eps)])
         assert cdl(j) == pytest.approx(2.0 * eps, abs=1e-9)
 
     def test_zero_on_calibrated(self):

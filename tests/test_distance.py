@@ -36,18 +36,19 @@ BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 class TestIntervalPartition:
     def test_index_conventions(self):
         part = IntervalPartition.uniform(4)
-        assert part.index(0.0) == 0
-        assert part.index(0.25) == 1  # left closed
-        assert part.index(0.999) == 3
-        assert part.index(1.0) == 3  # last interval closed
-        with pytest.raises(ValueError):
-            part.index(1.5)
+        # left closed, and the last interval closed
+        assert part.indices(np.array([0.0, 0.25, 0.999, 1.0])).tolist() == [
+            0, 1, 3, 3]
+
+    def test_no_single_value_lookups(self):
+        # indices and breakpoints give the numbers
+        assert not hasattr(IntervalPartition, "index")
+        assert not hasattr(IntervalPartition, "midpoint")
 
     def test_width_and_len(self):
         part = IntervalPartition((0.0, 0.1, 0.6, 1.0))
         assert len(part) == 3
         assert part.width == pytest.approx(0.5)
-        assert part.midpoint(1) == pytest.approx(0.35)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -78,6 +79,8 @@ class TestCanonicalPredictor:
         j = from_samples([(0.9, 1)])
         q = canonical_predictor(j, IntervalPartition.uniform(2))
         assert q(0.2) == 0.25
+        q = canonical_predictor(j, IntervalPartition((0.0, 0.1, 0.6, 1.0)))
+        assert q(0.2) == pytest.approx(0.35)
 
     def test_ce_partition_cancellation(self):
         # equal and opposite residuals in one interval cancel

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import calmeasures
 from calmeasures import (
     EmpiricalJoint,
     FiniteInstance,
@@ -74,29 +75,27 @@ class TestFromSamples:
         }
 
     def test_weight_scale_invariance(self):
-        pairs = [(0.2, 1), (0.8, 0)]
-        a = from_samples(pairs, [1.0, 3.0])
-        b = from_samples(pairs, [10.0, 30.0])
+        a = EmpiricalJoint.make([(0.2, 1, 1.0), (0.8, 0, 3.0)])
+        b = EmpiricalJoint.make([(0.2, 1, 10.0), (0.8, 0, 30.0)])
         assert a == b
 
     def test_arrays_and_lists_give_equal_joints(self):
         pairs = [(0.2, 1), (0.4, 0), (0.2, 1), (0.9, 0)]
-        weights = [1.0, 3.0, 0.5, 2.0]
+        atoms = [(v, y, w) for (v, y), w in zip(pairs, [1.0, 3.0, 0.5, 2.0])]
         assert from_samples(np.array(pairs)) == from_samples(pairs)
-        assert (from_samples(np.array(pairs), np.array(weights))
-                == from_samples(pairs, weights))
+        assert EmpiricalJoint.make(np.array(atoms)) == EmpiricalJoint.make(
+            atoms)
         with pytest.raises(ValueError, match="empty input"):
             from_samples(np.empty((0, 2)))
 
     def test_errors(self):
         with pytest.raises(ValueError):
             from_samples([])
-        with pytest.raises(ValueError):
-            from_samples([(0.5, 1)], [0.0])
-        with pytest.raises(ValueError):
-            from_samples([(0.5, 1)], [-1.0])
-        with pytest.raises(ValueError):
-            from_samples([(0.5, 1), (0.5, 0)], [1.0])
+
+    def test_takes_no_weights(self):
+        # weighted samples are atoms of EmpiricalJoint.make
+        with pytest.raises(TypeError):
+            from_samples([(0.2, 1), (0.8, 0)], [1.0, 3.0])
 
 
 class TestRecalibration:
@@ -108,9 +107,21 @@ class TestRecalibration:
     def test_map_values(self):
         j = EmpiricalJoint.make([(0.4, 1, 1.0), (0.4, 0, 1.0)])
         phat = recalibrate(j)
-        assert phat(0.4) == pytest.approx(0.5)
+        assert phat[0.4] == pytest.approx(0.5)
         with pytest.raises(KeyError):
-            phat(0.7)
+            phat[0.7]
+
+    def test_is_a_plain_dict(self):
+        assert not hasattr(calmeasures, "RecalibrationMap")
+
+    @settings(max_examples=50, deadline=None)
+    @given(joints())
+    def test_is_the_mean_column_keyed_by_value(self, j):
+        phat = recalibrate(j)
+        assert type(phat) is dict
+        assert [(v.hex(), m.hex()) for v, m in phat.items()] == [
+            (v.hex(), m.hex()) for v, m in zip(j.vals.tolist(),
+                                               j.mean.tolist())]
 
 
 class TestFiniteInstance:

@@ -142,7 +142,7 @@ def emd_cases():
         vs = np.concatenate([vs, np.nextafter(vs, 1.0)])
         labels = rng.integers(0, 2, len(vs))
         weights = rng.uniform(0.1, 1.0, len(vs))
-        cases.append(from_samples(list(zip(vs, labels)), list(weights)))
+        cases.append(EmpiricalJoint.make(list(zip(vs, labels, weights))))
     return cases
 
 

@@ -83,6 +83,28 @@ def test_lowdeg_over_its_term_cap_exits_4(csv, capsys):
                           "d=1000000000 needs ")
 
 
+def test_kernel_over_its_gram_cap_exits_4(tmp_path, capsys):
+    """8193 distinct scores would need two 8193 x 8193 arrays, over the
+    2^30-byte cap, and are refused before either is built."""
+    k = 8193
+    path = tmp_path / "distinct.csv"
+    path.write_text("prediction,label\n" + "".join(
+        f"{(i + 0.5) / k!r},{i % 2}\n" for i in range(k)))
+    start = time.perf_counter()
+    assert main(["report", str(path), "--measures", "kernel:laplace"]) == 4
+    assert time.perf_counter() - start < 1.0
+    err = one_error_line(capsys)
+    assert err.startswith("error: measure 'kernel:laplace': 8193 levels "
+                          "need ")
+
+
+def test_unwritable_fixture_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    argv = ["fixture", "--name", "two_point", "--eps", "0.1", "-o"]
+    assert main(argv + [str(out)]) == 2
+    one_error_line(capsys)
+
+
 def test_reader_out_of_memory_exits_5(csv, monkeypatch, capsys):
     def read_csv(path):
         raise MemoryError

@@ -108,7 +108,7 @@ def atom_payoff(joint, task, policy):
 
 
 def atom_cfdl(joint, task):
-    phat = recalibrate(joint).as_dict()
+    phat = recalibrate(joint)
     u = task.payoff_matrix()
     total = 0.0
     for v, y, m in joint.atoms:
@@ -118,7 +118,7 @@ def atom_cfdl(joint, task):
 
 
 def atom_recalibrated(joint):
-    phat = recalibrate(joint).as_dict()
+    phat = recalibrate(joint)
     return EmpiricalJoint.make((phat[v], y, m) for v, y, m in joint.atoms)
 
 
@@ -274,14 +274,14 @@ def test_recalibration_lookup_uses_the_columns():
         (v, y, 1.0) for v in vals for y in (0, 1) if rng.random() < 0.7
     ])
     phat = recalibrate(joint)
-    table = phat.as_dict()
-    assert len(table) == len(joint.vals)
-    assert all(phat(v) == mean for v, mean in table.items())
-    assert phat(-0.0) == table[0.0] == 1.0
+    assert len(phat) == len(joint.vals)
+    assert all(phat[v] == mean for v, mean in zip(joint.vals.tolist(),
+                                                  joint.mean.tolist()))
+    assert phat[-0.0] == phat[0.0] == 1.0
     for v in (math.nextafter(vals[0], 1.0), math.nextafter(0.0, -1.0),
               math.nextafter(float(joint.vals[-1]), 2.0)):
         with pytest.raises(KeyError):
-            phat(v)
+            phat[v]
 
 
 def test_read_csv_joint_is_small_per_row(tmp_path):

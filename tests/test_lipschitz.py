@@ -80,12 +80,9 @@ class TestSmce:
         for _ in range(100):
             j = random_joint(rng)
             eta = float(rng.uniform(0.0, 0.2))
-            shifted = from_samples(
-                [
-                    (min(1.0, max(0.0, v + rng.uniform(-eta, eta))), y)
-                    for v, y, _ in j.atoms
-                ],
-                [m for _, _, m in j.atoms],
+            shifted = EmpiricalJoint.make(
+                (min(1.0, max(0.0, v + rng.uniform(-eta, eta))), y, m)
+                for v, y, m in j.atoms
             )
             assert abs(smce(j) - smce(shifted)) <= 2.0 * eta + 1e-9
 
@@ -166,6 +163,24 @@ class TestKernel:
         for _ in range(10):
             j = random_calibrated_joint(rng)
             assert 0.0 <= kernel_ce(j, kernel) <= 1e-6
+
+    @pytest.mark.parametrize("kernel", ["laplace", "gaussian"])
+    def test_gram_arrays_over_their_cap_are_never_built(self, kernel):
+        """8193 levels would need two k x k arrays of 2^30 bytes and a
+        little more; the refusal allocates less than one of them."""
+        k = 8193
+        joint = EmpiricalJoint.make(np.stack(
+            [(np.arange(k) + 0.5) / k, np.ones(k), np.ones(k)], axis=1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleSizeError, match="8193 levels need "
+                               "1074003984 bytes of Gram arrays, over the "
+                               "cap of 1073741824"):
+                kernel_ce(joint, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * k * k
 
     def test_single_atom_value(self):
         # k(v, v) = 1, so the value is |residual mass|

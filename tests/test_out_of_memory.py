@@ -15,7 +15,7 @@ import pytest
 
 import calmeasures
 
-LIMIT_BYTES = 2 * 1024**3
+LIMIT_BYTES = 768 * 1024**2
 
 
 def limit_address_space():
@@ -25,8 +25,9 @@ def limit_address_space():
 @pytest.mark.skipif(not hasattr(resource, "RLIMIT_AS"),
                     reason="needs RLIMIT_AS")
 def test_kernel_gram_matrix_over_the_limit_exits_5(tmp_path):
-    """kernel:laplace at k = 2e4 asks for a 3.2 GB Gram matrix."""
-    k = 2 * 10**4
+    """kernel:laplace at k = 8192, the most levels under its cap, asks
+    for two 512 MiB arrays, more than the child's 768 MiB can hold."""
+    k = 8192
     rng = np.random.default_rng(0)
     p = rng.random(k)
     y = (rng.random(k) < p).astype(int)

@@ -136,8 +136,8 @@ def random_joints():
     for k in (1, 2, 9, 300):
         v = np.round(rng.random(k), 2)
         y = rng.integers(0, 2, k)
-        joints.append(from_samples(list(zip(v.tolist(), y.tolist())),
-                                   rng.random(k).tolist()))
+        joints.append(EmpiricalJoint.make(list(zip(
+            v.tolist(), y.tolist(), rng.random(k).tolist()))))
     return joints
 
 

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from calmeasures import FiniteInstance, from_samples
+from calmeasures import EmpiricalJoint, FiniteInstance
 from calmeasures.cli import main
 from calmeasures import empirical
 from calmeasures.empirical import read_csv, read_instance_json, read_jsonl
@@ -23,27 +23,25 @@ def reference_read_csv(path):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "prediction" not in reader.fieldnames:
             raise ValueError(f"{path}: missing header with 'prediction' column")
-        pairs, weights = [], []
-        for row in reader:
-            pairs.append((float(row["prediction"]), int(row["label"])))
-            weights.append(float(row.get("weight", 1.0)))
-    return from_samples(pairs, weights)
+        atoms = [(float(row["prediction"]), int(row["label"]),
+                  float(row.get("weight", 1.0))) for row in reader]
+    return EmpiricalJoint.make(atoms)
 
 
 def reference_read_jsonl(path):
     """The per-line ``json.loads`` reader."""
-    pairs, weights = [], []
+    atoms = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             obj = json.loads(line)
-            pairs.append((float(obj["p"]), int(obj["y"])))
-            weights.append(float(obj.get("w", 1.0)))
-    if not pairs:
+            atoms.append((float(obj["p"]), int(obj["y"]),
+                          float(obj.get("w", 1.0))))
+    if not atoms:
         raise ValueError(f"{path}: no records")
-    return from_samples(pairs, weights)
+    return EmpiricalJoint.make(atoms)
 
 
 READERS = {"csv": (read_csv, reference_read_csv),
@@ -143,7 +141,7 @@ def test_jsonl_with_list_fields_is_bit_identical(tmp_path):
     assert_bit_identical(read_jsonl(path), reference_read_jsonl(path))
 
 
-EXPECTED = from_samples([(0.4, 1), (0.5, 0)], [2.0, 1.0])
+EXPECTED = EmpiricalJoint.make([(0.4, 1, 2.0), (0.5, 0, 1.0)])
 
 
 @pytest.mark.parametrize("text", [

@@ -10,7 +10,6 @@ from calmeasures import (
     EmpiricalJoint,
     FiniteInstance,
     dce_oracle,
-    from_samples,
 )
 from calmeasures.cli import main
 
@@ -54,8 +53,6 @@ def test_non_finite_masses_rejected_in_the_library(bad):
         FiniteInstance.make([("a", bad, 0.2, 0.3), ("b", 1.0, 0.4, 0.5)])
     with pytest.raises(ValueError):
         EmpiricalJoint.make([(0.2, 1, bad), (0.4, 0, 1.0)])
-    with pytest.raises(ValueError):
-        from_samples([(0.2, 1), (0.4, 0)], [bad, 1.0])
 
 
 def test_overflowing_total_weight_exits_2(tmp_path, capsys):
